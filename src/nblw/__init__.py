@@ -66,7 +66,12 @@ from .theory import (
     theory_report,
     weight_stats,
 )
-from .label_prop import label_propagation, propagate_scores, sparsify_knn
+from .label_prop import (
+    ConvergenceWarning,
+    label_propagation,
+    propagate_scores,
+    sparsify_knn,
+)
 from .ingest import (
     SubsampleResult,
     calibrate_sigma,

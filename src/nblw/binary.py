@@ -12,6 +12,7 @@ import numpy as np
 
 from .graph import MessageState, WeightedGraph, apply_nb, pool
 from .model import LabeledDataset
+from .multiclass import init_messages_class
 
 __all__ = [
     "init_messages",
@@ -27,23 +28,20 @@ DEFAULT_KMAX = 30
 
 def init_messages(g: WeightedGraph, data: LabeledDataset, rng) -> MessageState:
     """Messages out of a revealed node carry its +-1 label; others are
-    i.i.d. Rademacher, independently per half-edge."""
+    i.i.d. Rademacher, independently per half-edge.
+
+    This is the one-vs-rest initializer for class 0 (the +1 class)."""
     if data.q != 2:
         raise ValueError("binary walk needs q == 2 with +-1 labels")
-    values = (1 - 2 * rng.integers(0, 2, size=g.num_half_edges)).astype(np.float64)
-    from_revealed = data.revealed[g.src]
-    values[from_revealed] = data.truth[g.src[from_revealed]]
-    return MessageState(values)
+    return init_messages_class(g, data, 0, rng)
 
 
-def power_iterate(
-    g: WeightedGraph, state: MessageState, k_max: int, rescale: bool = True
-) -> MessageState:
+def power_iterate(g: WeightedGraph, state: MessageState, k_max: int) -> MessageState:
     """Apply the non-backtracking update k_max times."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     for _ in range(k_max):
-        state = apply_nb(g, state, rescale=rescale)
+        state = apply_nb(g, state)
     return state
 
 
@@ -51,8 +49,11 @@ def decide(g: WeightedGraph, pooled: np.ndarray, data: LabeledDataset) -> np.nda
     """Sign decision with deterministic ties: sign(0) -> +1.
 
     Isolated nodes pool to 0; when such a node is revealed we output its
-    known label instead of the tie value.
+    known label instead of the tie value.  A NaN or infinite pooled value
+    raises ValueError instead of becoming a label.
     """
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("pooled values must be finite")
     est = np.where(pooled >= 0.0, 1, -1).astype(np.int64)
     isolated = g.degrees() == 0
     fix = isolated & data.revealed

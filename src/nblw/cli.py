@@ -9,7 +9,8 @@ re-running a row's tuple reproduces its accuracy exactly.
 Configuration is a flat JSON object with the same keys as the long CLI
 flags; explicit flags override the config file.  Per-repetition seeds are
 derived from the master seed with the package-wide seed-splitting rule
-(see :func:`nblw.model.split_seed`); pass ``--seeds`` to pin them.
+(see :func:`nblw.model.split_seed`); ``synth`` takes ``--seeds`` to pin
+them, one row per seed, in place of ``--reps``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
 )
 from .multiclass import match_labels, run_multiclass
 from .theory import (
+    CHERNOFF_TAU_THRESHOLD,
     centered_weight,
     check_error_bounds,
     density_evolution,
@@ -92,47 +94,39 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _multiclass_accuracy(est, data: LabeledDataset, scope: str) -> float:
-    """Accuracy for 0-based multiclass assignments.
+def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
+    """(acc_all, acc_unlabeled) of an assignment in the dataset's encoding.
 
-    With revealed labels the assignment is aligned on the revealed nodes
-    (legal: their truth is an input) and raw agreement is reported; with
-    none it is the permutation-maximized agreement.
+    A multiclass assignment is aligned on the revealed nodes (legal: their
+    truth is an input) and raw agreement is reported; with none revealed
+    it is the permutation-maximized agreement.
     """
-    truth = data.class_indices()
-    keep = np.ones(data.n, dtype=bool) if scope == "all" else ~data.revealed
-    if data.revealed.any():
-        rev = data.revealed
-        _, perm = match_labels(est[rev], truth[rev])
-        aligned = np.asarray(perm)[est]
-        return float(np.mean(aligned[keep] == truth[keep]))
-    acc, _ = match_labels(est[keep], truth[keep])
-    return acc
+    if data.q == 2:
+        return (accuracy(est, data.truth, "all", data.revealed),
+                accuracy(est, data.truth, "unlabeled", data.revealed))
+    truth, rev = data.class_indices(), data.revealed
+    if not rev.any():
+        acc, _ = match_labels(est, truth)
+        return acc, acc
+    _, perm = match_labels(est[rev], truth[rev])
+    hits = np.asarray(perm)[est] == truth
+    return float(np.mean(hits)), float(np.mean(hits[~rev]))
 
 
-def _run_nblw(graph, sims, data: LabeledDataset, q: int, kmax: int, rng):
-    """Centered-weight walk with phase timings; returns (acc_all,
-    acc_unlabeled, t_iter, t_decide)."""
-    g = graph.with_pair_weights(center_weights(sims)) if sims.size else graph
-    if q == 2:
+def _run_nblw(g, data: LabeledDataset, kmax: int, rng):
+    """Walk on a centered-weight graph with phase timings; returns
+    (acc_all, acc_unlabeled, t_iter, t_decide)."""
+    if data.q == 2:
         t0 = time.perf_counter()
         state = power_iterate(g, init_messages(g, data, rng), kmax)
         t1 = time.perf_counter()
         est = decide(g, pool(g, state), data)
         t2 = time.perf_counter()
-        return (
-            accuracy(est, data.truth, "all", data.revealed),
-            accuracy(est, data.truth, "unlabeled", data.revealed),
-            t1 - t0, t2 - t1,
-        )
+        return (*_accuracies(est, data), t1 - t0, t2 - t1)
     t0 = time.perf_counter()
-    result = run_multiclass(g, data, q, kmax, rng)
+    result = run_multiclass(g, data, data.q, kmax, rng)
     t1 = time.perf_counter()
-    return (
-        _multiclass_accuracy(result.assignments, data, "all"),
-        _multiclass_accuracy(result.assignments, data, "unlabeled"),
-        t1 - t0, 0.0,
-    )
+    return (*_accuracies(result.assignments, data), t1 - t0, 0.0)
 
 
 def _run_lp(graph, sims, data: LabeledDataset, knn: int):
@@ -142,21 +136,27 @@ def _run_lp(graph, sims, data: LabeledDataset, knn: int):
     g = graph.with_pair_weights(sims)
     if knn > 0 and g.num_pairs:
         g = sparsify_knn(g, sims, k=knn)
-        sims = g.pair_weights()
     t0 = time.perf_counter()
     est = label_propagation(g, data)
     t1 = time.perf_counter()
-    if data.q == 2:
-        return (
-            accuracy(est, data.truth, "all", data.revealed),
-            accuracy(est, data.truth, "unlabeled", data.revealed),
-            t1 - t0, 0.0,
-        )
-    return (
-        _multiclass_accuracy(est, data, "all"),
-        _multiclass_accuracy(est, data, "unlabeled"),
-        t1 - t0, 0.0,
-    )
+    return (*_accuracies(est, data), t1 - t0, 0.0)
+
+
+def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
+    """One repetition of one method on a centered-weight graph and its raw
+    similarities; returns (acc_all, acc_unlabeled, t_iter, t_decide)."""
+    if method == "nblw":
+        return _run_nblw(centered, data, int(opts["kmax"]), np.random.default_rng(algo_seed))
+    return _run_lp(centered, sims, data, int(opts["knn"]))
+
+
+def _row(opts, provenance, accs, se, phases) -> dict:
+    """One output row from its provenance (dataset .. seed), the two
+    accuracies, the SE and the three phase times; the phase columns stay
+    empty without ``timings``."""
+    if not opts["timings"]:
+        phases = ("", "", "")
+    return dict(zip(CSV_HEADER, (*provenance, *accs, se, *phases)))
 
 
 def _methods(name: str) -> list[str]:
@@ -193,19 +193,12 @@ def cmd_synth(opts) -> list[dict]:
             t0 = time.perf_counter()
             graph, sims, data = make_instance(spec)
             t_sample = time.perf_counter() - t0
+            centered = graph.with_pair_weights(center_weights(sims)) if sims.size else graph
             for method in methods:
-                rng = np.random.default_rng(algo_seed)
-                runner = _run_nblw(graph, sims, data, q, kmax, rng) if method == "nblw" \
-                    else _run_lp(graph, sims, data, int(opts["knn"]))
-                acc_all, acc_unl, t_iter, t_decide = runner
-                rows.append({
-                    "dataset": dataset, "method": method, "n": n, "q": q,
-                    "alpha": alpha, "eta": eta, "kmax": kmax, "seed": row_seed,
-                    "acc_all": acc_all, "acc_unlabeled": acc_unl, "se": "",
-                    "phase_sample_s": t_sample if opts["timings"] else "",
-                    "phase_iter_s": t_iter if opts["timings"] else "",
-                    "phase_decide_s": t_decide if opts["timings"] else "",
-                })
+                acc_all, acc_unl, t_iter, t_decide = _run(method, centered, sims, data,
+                                                          opts, algo_seed)
+                rows.append(_row(opts, (dataset, method, n, q, alpha, eta, kmax, row_seed),
+                                 (acc_all, acc_unl), "", (t_sample, t_iter, t_decide)))
     return rows
 
 
@@ -229,11 +222,7 @@ def _load_points(opts):
     if kind == "csv":
         points, truth = read_csv_vectors(opts["path"], header=opts["header"],
                                          label_column=True)
-        if truth is None:
-            raise ValueError("csv dataset needs a label column")
-        values = np.unique(truth)
-        remap = {int(v): i for i, v in enumerate(values)}
-        truth = np.array([remap[int(v)] for v in truth])
+        values, truth = np.unique(truth, return_inverse=True)
         return points, truth, len(values), "csv#" + _file_hash12(opts["path"])
     raise ValueError(f"unknown dataset {kind!r}")
 
@@ -243,7 +232,6 @@ def cmd_cluster(opts) -> list[dict]:
     n = points.shape[0]
     alphas, etas = _float_list(opts["alpha"]), _float_list(opts["eta"])
     kmax, reps = int(opts["kmax"]), int(opts["reps"])
-    metric = opts["metric"]
     methods = _methods(opts["method"])
     master = int(opts["seed"])
 
@@ -251,43 +239,26 @@ def cmd_cluster(opts) -> list[dict]:
     rows = []
     for gi, (alpha, eta) in enumerate(grid):
         seeds = split_seed(master, len(grid) * reps)[gi * reps:(gi + 1) * reps]
-        acc = {m: [] for m in methods}
-        acc_unl = {m: [] for m in methods}
-        times = {m: [] for m in methods}
+        runs = {m: [] for m in methods}
         t_sample_all = []
         for row_seed in seeds:
             samp_seed, reveal_seed, algo_seed = split_seed(row_seed, 3)
             t0 = time.perf_counter()
-            result = subsample_and_weight(points, alpha, metric,
+            result = subsample_and_weight(points, alpha, opts["metric"],
                                           np.random.default_rng(samp_seed))
             t_sample_all.append(time.perf_counter() - t0)
             data = dataset_from_truth(truth, eta, np.random.default_rng(reveal_seed), q=q)
             for method in methods:
-                rng = np.random.default_rng(algo_seed)
-                if method == "nblw":
-                    a, u, t_it, t_dec = _run_nblw(result.graph, result.similarities,
-                                                  data, q, kmax, rng)
-                else:
-                    a, u, t_it, t_dec = _run_lp(result.graph, result.similarities,
-                                                data, int(opts["knn"]))
-                acc[method].append(a)
-                acc_unl[method].append(u)
-                times[method].append((t_it, t_dec))
+                # the subsampled graph already carries centered weights
+                runs[method].append(_run(method, result.graph, result.similarities, data,
+                                         opts, algo_seed))
         for method in methods:
-            a = np.asarray(acc[method])
-            se = float(a.std(ddof=1) / np.sqrt(reps)) if reps > 1 else ""
-            t_it = float(np.mean([t[0] for t in times[method]]))
-            t_dec = float(np.mean([t[1] for t in times[method]]))
-            rows.append({
-                "dataset": dataset, "method": method, "n": n, "q": q,
-                "alpha": alpha, "eta": eta, "kmax": kmax, "seed": master,
-                "acc_all": float(a.mean()),
-                "acc_unlabeled": float(np.mean(acc_unl[method])),
-                "se": se,
-                "phase_sample_s": float(np.mean(t_sample_all)) if opts["timings"] else "",
-                "phase_iter_s": t_it if opts["timings"] else "",
-                "phase_decide_s": t_dec if opts["timings"] else "",
-            })
+            acc_all, acc_unl, t_it, t_dec = (np.asarray(col) for col in zip(*runs[method]))
+            se = float(acc_all.std(ddof=1) / np.sqrt(reps)) if reps > 1 else ""
+            rows.append(_row(opts, (dataset, method, n, q, alpha, eta, kmax, master),
+                             (float(acc_all.mean()), float(acc_unl.mean())), se,
+                             (float(np.mean(t_sample_all)), float(t_it.mean()),
+                              float(t_dec.mean()))))
     return rows
 
 
@@ -296,23 +267,20 @@ def cmd_theory(opts) -> list[dict]:
     p_out = parse_distribution(opts["p_out"])
     eta, kmax = float(opts["eta"]), int(opts["kmax"])
     de_pop = int(opts["de_pop"])
+    weights = {"center": lambda: centered_weight(p_in, p_out), "identity": identity_weight,
+               "optimal": lambda: optimal_weight(p_in, p_out)}
+    if opts["weight"] not in weights:
+        raise ValueError(f"unknown weight {opts['weight']!r}")
+    w = weights[opts["weight"]]()
     rows = []
     for ai, alpha in enumerate(_float_list(opts["alpha"])):
-        if opts["weight"] == "center":
-            w = centered_weight(p_in, p_out)
-        elif opts["weight"] == "identity":
-            w = identity_weight()
-        elif opts["weight"] == "optimal":
-            w = optimal_weight(p_in, p_out)
-        else:
-            raise ValueError(f"unknown weight {opts['weight']!r}")
         rng = np.random.default_rng(split_seed(int(opts["seed"]), 2 * (ai + 1))[-1])
         stats = weight_stats(p_in, p_out, w, alpha, rng=rng)
         report = theory_report(stats, eta, kmax)
         row = report.to_dict()
         tau = stats.tau
         row["r_limit"] = max(0.0, (tau - 1.0) / tau) if tau > 1 else 0.0
-        row["q_limit"] = (2.0 / 3.0) * (tau - 1.0) if tau > 2.5 else 0.0
+        row["q_limit"] = (2.0 / 3.0) * (tau - 1.0) if tau > CHERNOFF_TAU_THRESHOLD else 0.0
         row.setdefault("sufficient_alpha", "")
         row.update({"de_error": "", "de_se": "", "cantelli_pass": "", "chernoff_pass": ""})
         if de_pop > 0:
@@ -328,11 +296,8 @@ def cmd_theory(opts) -> list[dict]:
 
 
 def cmd_bench(opts) -> list[dict]:
-    opts = dict(opts)
-    opts["timings"] = True
-    if opts["dataset"] == "synth":
-        return cmd_synth(opts)
-    return cmd_cluster(opts)
+    opts = {**opts, "timings": True}
+    return (cmd_synth if opts["dataset"] == "synth" else cmd_cluster)(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +311,14 @@ DEFAULTS = {
     "dataset": "blobs", "metric": "euclidean", "knn": 3,
     "blob_centers": "-3:0;3:0", "blob_sigma": 1.0, "data_seed": 0,
     "digits": "0,1", "mnist_images": "", "mnist_labels": "",
-    "path": "", "header": False, "label_column": True,
+    "path": "", "header": False,
     "weight": "center", "de_pop": 0, "timings": False, "json": False,
+}
+
+
+COMMANDS = {
+    "synth": (cmd_synth, CSV_HEADER), "cluster": (cmd_cluster, CSV_HEADER),
+    "theory": (cmd_theory, THEORY_HEADER), "bench": (cmd_bench, CSV_HEADER),
 }
 
 
@@ -357,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="clustering from subsampled pairwise similarities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth", "cluster", "theory", "bench"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file of option defaults")
         for key, default in DEFAULTS.items():
@@ -369,19 +340,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config(loaded) -> dict:
+    """Validate a loaded config: known keys, JSON true/false for switches,
+    a number or a string for every other key.  Numbers given for keys
+    that take text are read as their text, as a flag would give them."""
+    if not isinstance(loaded, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(loaded) - set(DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in loaded.items():
+        switch = isinstance(DEFAULTS[key], bool)
+        if switch != isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            kind = "true or false" if switch else "a number or a string"
+            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return {k: str(v) if isinstance(DEFAULTS[k], str) else v for k, v in loaded.items()}
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     opts = dict(DEFAULTS)
+    given = set()
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            loaded = _check_config(json.load(fh))
         opts.update(loaded)
+        given.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             opts[key] = value
+            given.add(key)
+    # only synth rows are seeded one by one; cluster rows average their reps
+    synth = args.command == "synth" or (args.command == "bench" and opts["dataset"] == "synth")
+    if opts["seeds"] and not synth:
+        raise ValueError("--seeds is read only by synth and by bench --dataset synth")
+    if opts["seeds"] and "reps" in given:
+        raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
     return opts
 
 
@@ -405,15 +399,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        if args.command == "synth":
-            rows, header = cmd_synth(opts), CSV_HEADER
-        elif args.command == "cluster":
-            rows, header = cmd_cluster(opts), CSV_HEADER
-        elif args.command == "theory":
-            rows, header = cmd_theory(opts), THEORY_HEADER
-        else:
-            rows, header = cmd_bench(opts), CSV_HEADER
-        _write_rows(rows, header, opts["out"], bool(opts["json"]))
+        command, header = COMMANDS[args.command]
+        _write_rows(command(opts), header, opts["out"], bool(opts["json"]))
     except (ValueError, OSError) as exc:
         print(f"nblw: error: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# Largest n with n * n - 1 < 2**63: the (src, dst) keys src * n + dst fit int64.
+MAX_NODES = 3_037_000_499
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected weighted graph in half-edge (directed arc) form.
@@ -114,6 +118,19 @@ class MessageState:
     iteration: int = 0
     log_scale: float = 0.0
 
+    def advance(self, values: np.ndarray) -> "MessageState":
+        """The next state from the raw operator product ``values``, divided
+        by its max-absolute value, whose log is added to ``log_scale``.
+        A NaN or infinite message raises ValueError."""
+        scale = np.max(np.abs(values)) if values.size else 0.0
+        if not np.isfinite(scale):
+            raise ValueError(f"non-finite message after iteration {self.iteration + 1}")
+        log_scale = self.log_scale
+        if scale > 0.0:
+            values = values / scale
+            log_scale += np.log(scale)
+        return MessageState(values, self.iteration + 1, log_scale)
+
     def unscaled(self) -> np.ndarray:
         # exp(log_scale) overflows after enough growth steps; meant for
         # moment analysis at small iteration counts, not long runs
@@ -140,6 +157,8 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
     n = int(n)
     if n <= 0:
         raise ValueError("n must be positive")
+    if n > MAX_NODES:
+        raise ValueError(f"n = {n} exceeds {MAX_NODES}: int64 pair keys would overflow")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     if pairs.shape[0] != weights.shape[0]:
@@ -238,36 +257,15 @@ def nb_multiply_t(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     return g.weight * (totals[g.dst] - x[g.twin])
 
 
-def _rescaled(values: np.ndarray, state: MessageState) -> MessageState:
-    scale = np.max(np.abs(values)) if values.size else 0.0
-    log_scale = state.log_scale
-    if scale > 0.0:
-        values = values / scale
-        log_scale += np.log(scale)
-    return MessageState(values, state.iteration + 1, log_scale)
+def apply_nb(g: WeightedGraph, v: MessageState) -> MessageState:
+    """One non-backtracking update of a message state, rescaled by
+    :meth:`MessageState.advance`."""
+    return v.advance(nb_multiply(g, v.values))
 
 
-def apply_nb(g: WeightedGraph, v: MessageState, rescale: bool = True) -> MessageState:
-    """One non-backtracking update of a message state.
-
-    With ``rescale`` (the default) the result is divided by its
-    max-absolute value and the log of that factor is accumulated, so that
-    ``values * exp(log_scale)`` always equals the unrescaled product.
-    """
-    out = nb_multiply(g, v.values)
-    if rescale:
-        return _rescaled(out, v)
-    return MessageState(out, v.iteration + 1, v.log_scale)
-
-
-def apply_nb_transpose(
-    g: WeightedGraph, v: MessageState, rescale: bool = True
-) -> MessageState:
+def apply_nb_transpose(g: WeightedGraph, v: MessageState) -> MessageState:
     """One update with the transposed operator; see :func:`apply_nb`."""
-    out = nb_multiply_t(g, v.values)
-    if rescale:
-        return _rescaled(out, v)
-    return MessageState(out, v.iteration + 1, v.log_scale)
+    return v.advance(nb_multiply_t(g, v.values))
 
 
 def dense_nb_matrix(g: WeightedGraph) -> np.ndarray:

@@ -10,12 +10,18 @@ node's top-k most similar neighbors.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .graph import WeightedGraph, build_graph
 from .model import LabeledDataset
 
-__all__ = ["sparsify_knn", "propagate_scores", "label_propagation"]
+__all__ = ["ConvergenceWarning", "sparsify_knn", "propagate_scores", "label_propagation"]
+
+
+class ConvergenceWarning(UserWarning):
+    """Label propagation reached its sweep cap before its tolerance."""
 
 
 def sparsify_knn(
@@ -102,24 +108,24 @@ def label_propagation(
     """Propagate revealed labels over nonnegative edge weights.
 
     Returns assignments in the dataset's encoding (+-1 for q == 2).
-    Unlabeled nodes unreachable from any label (isolated, or in a
-    label-free component) fall back to the most frequent revealed class;
+    Unlabeled nodes that no label reached keep an all-zero score row
+    (isolated nodes, nodes whose edges all weigh zero, label-free
+    components) and fall back to the most frequent revealed class;
     score ties resolve to the lowest class index, which for q == 2 is the
     +1 class (the same tie direction as the sign decision of the walk).
+    Stopping at ``max_iter`` before a sweep moved the scores by less than
+    ``tol`` emits a :class:`ConvergenceWarning`.
     """
-    scores, _ = propagate_scores(g, data, tol=tol, max_iter=max_iter)
-    q = data.q
+    scores, deltas = propagate_scores(g, data, tol=tol, max_iter=max_iter)
+    if not deltas or deltas[-1] >= tol:
+        warnings.warn(f"label propagation stopped at max_iter={max_iter} before a "
+                      f"sweep changed the scores by less than tol={tol:g}",
+                      ConvergenceWarning, stacklevel=2)
     cls = data.class_indices()
-    denom = np.bincount(g.dst, weights=g.weight, minlength=g.n)
-    reachable = denom > 0
-
     out_cls = scores.argmax(axis=1)
-    majority = int(np.bincount(cls[data.revealed], minlength=q).argmax())
-    out_cls[~data.revealed & ~reachable] = majority
-    # nodes whose rows never moved (label-free components) also fall back
-    untouched = ~data.revealed & reachable & (scores.max(axis=1) == 0)
-    out_cls[untouched] = majority
+    majority = int(np.bincount(cls[data.revealed], minlength=data.q).argmax())
+    out_cls[~data.revealed & (scores.max(axis=1) == 0)] = majority
 
-    if q == 2:
+    if data.q == 2:
         return (1 - 2 * out_cls).astype(np.int64)
     return out_cls.astype(np.int64)

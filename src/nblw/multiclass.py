@@ -131,10 +131,12 @@ def run_multiclass(
     """Extract q - 1 pooled vectors under progressive deflation, then
     k-means the embedding into q clusters.
 
-    Messages are max-abs rescaled between iterations (the deflation
+    Messages are max-abs rescaled between iterations by
+    :meth:`MessageState.advance`, as in the binary walk (the deflation
     formula is invariant to the scale of its vector, so this only guards
-    against overflow).  Per-stage Rayleigh quotients are surfaced so a
-    caller can judge how much signal each successive stage carried.
+    against overflow; a non-finite message raises ValueError).  Per-stage
+    Rayleigh quotients are surfaced so a caller can judge how much signal
+    each successive stage carried.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -149,15 +151,11 @@ def run_multiclass(
     log_scales = []
     for c in range(q - 1):
         state = init_messages_class(g, data, c, rng)
-        values, log_scale = state.values, 0.0
         for _ in range(k_max):
-            values = apply_deflated(stack, c, values)
-            scale = np.max(np.abs(values)) if values.size else 0.0
-            if scale > 0:
-                values = values / scale
-                log_scale += np.log(scale)
-        columns.append(pool(g, MessageState(values, k_max, log_scale)))
-        log_scales.append(log_scale)
+            state = state.advance(apply_deflated(stack, c, state.values))
+        columns.append(pool(g, state))
+        log_scales.append(state.log_scale)
+        values = state.values
         vv = float(values @ values)
         quotients.append(float(values @ apply_deflated(stack, c, values)) / vv if vv else 0.0)
         if c < q - 2:

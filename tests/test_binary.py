@@ -16,6 +16,7 @@ from nblw import (
     accuracy,
     center_weights,
     init_messages,
+    init_messages_class,
     make_instance,
     pool,
     power_iterate,
@@ -58,6 +59,15 @@ class TestInitMessages:
         g, sims, data = make_instance(spec)
         with pytest.raises(ValueError, match="q == 2"):
             init_messages(g, data, np.random.default_rng(0))
+
+
+    def test_is_class_zero_one_vs_rest(self):
+        for seed in range(5):
+            g, _, data, _ = small_instance(seed=seed)
+            a = init_messages(g, data, np.random.default_rng(seed))
+            b = init_messages_class(g, data, 0, np.random.default_rng(seed))
+            assert np.array_equal(a.values, b.values)
+            assert a.values.dtype == b.values.dtype
 
 
 class TestRunBinary:
@@ -108,6 +118,21 @@ class TestRunBinary:
         assert pooled[2] == pooled[3] == 0.0
         assert est[2] == -1  # revealed isolated keeps its label
         assert est[3] == 1   # unrevealed isolated takes the tie value
+
+
+    def test_nan_message_raises(self):
+        g, _, _, _ = small_instance()
+        values = np.ones(g.num_half_edges)
+        values[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iterate(g, MessageState(values), 3)
+
+    def test_decide_rejects_nan_pooled(self):
+        g, _, data, _ = small_instance()
+        pooled = np.ones(g.n)
+        pooled[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            decide(g, pooled, data)
 
 
 class TestAccuracy:

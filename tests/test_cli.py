@@ -257,6 +257,60 @@ class TestConfigAndErrors:
         code = main(["synth", "--method", "oracle"])
         assert code != 0
 
+    @pytest.mark.parametrize("config, key", [
+        ({"n": [1]}, "'n'"),
+        ({"alpha": {"a": 4}}, "'alpha'"),
+        ({"seed": None}, "'seed'"),
+        ({"n": True}, "'n'"),
+        ({"timings": 1}, "'timings'"),
+        ({"json": "yes"}, "'json'"),
+    ])
+    def test_wrong_config_type_is_one_line_error(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["synth", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("nblw: error:") and key in err and err.count("\n") == 1
+
+    def test_config_number_for_text_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 800, "alpha": 5, "eta": 0.2, "kmax": 5}))
+        code, by_config = run_cli(["synth", "--config", str(cfg)])
+        assert code == 0
+        _, by_flags = run_cli(["synth", "--n", "800", "--alpha", "5", "--eta", "0.2",
+                               "--kmax", "5"])
+        assert by_config == by_flags
+        # read as the text "3", like the flag --p-in 3: a bad spec, not a traceback
+        cfg.write_text(json.dumps({"p_in": 3}))
+        assert main(["synth", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("nblw: error: cannot parse")
+
+    def test_seeds_with_reps_flag(self, capsys):
+        code = main(["synth", "--n", "500", "--seeds", "5", "--reps", "3"])
+        assert code == 1 and "--reps" in capsys.readouterr().err
+
+    def test_seeds_with_reps_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 3}))
+        code = main(["synth", "--config", str(cfg), "--n", "500", "--seeds", "5"])
+        assert code == 1 and "--reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--n", "500", "--seeds", "5,6,7"],
+        ["theory", "--alpha", "10", "--seeds", "5"],
+        ["bench", "--dataset", "blobs", "--n", "500", "--seeds", "5"],
+    ])
+    def test_seeds_rejected_where_unread(self, capsys, argv):
+        code = main(argv)
+        assert code == 1 and "--seeds" in capsys.readouterr().err
+
+    def test_bench_synth_reads_seeds(self):
+        code, out = run_cli(["bench", "--dataset", "synth", "--n", "500", "--kmax", "3",
+                             "--seeds", "5,6"])
+        assert code == 0
+        assert [r["seed"] for r in rows_of(out)] == ["5", "6"]
+
 
 class TestResourceScaling:
     def test_no_dense_allocation(self):

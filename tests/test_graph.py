@@ -37,6 +37,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph(3, [(0, 3)], [1.0])
 
+    def test_int64_key_overflow_guard(self):
+        # (n - 1) * n + (n - 1) no longer fits int64; must fail before
+        # any n-sized allocation
+        with pytest.raises(ValueError, match="overflow"):
+            build_graph(3_037_000_500, [(0, 1)], [1.0])
+
     def test_nonfinite_weight(self):
         with pytest.raises(ValueError, match="finite"):
             build_graph(3, [(0, 1)], [np.nan])
@@ -131,6 +137,17 @@ class TestApplyNB:
         assert np.abs(out.values).max() <= 1.0 + 1e-15
         assert np.allclose(out.unscaled(), raw)
         assert out.iteration == 1
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_product_raises(self):
+        # finite weights whose incoming sums overflow to inf
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        g = build_graph(4, pairs, [1e308] * len(pairs))
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_nb(g, MessageState(np.ones(g.num_half_edges)))
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_nb_transpose(g, MessageState(np.ones(g.num_half_edges)))
 
 
 class TestTranspose:
@@ -230,6 +247,6 @@ class TestInvariants:
         a = MessageState(v0.copy())
         b = MessageState(v0.copy())
         for _ in range(6):
-            a = apply_nb(g, a, rescale=True)
-            b = apply_nb(g, b, rescale=False)
+            a = apply_nb(g, a)
+            b = MessageState(nb_multiply(g, b.values))
         assert np.array_equal(np.sign(pool(g, a)), np.sign(pool(g, b)))

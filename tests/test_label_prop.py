@@ -1,9 +1,12 @@
 """Nearest-neighbor pruning and the clamped harmonic propagation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nblw import (
+    ConvergenceWarning,
     LabeledDataset,
     accuracy,
     build_graph,
@@ -131,6 +134,19 @@ class TestLabelPropagation:
         est = label_propagation(g, data)
         assert est[2] == -1  # majority of revealed labels
         assert est[3] == -1
+
+    def test_iteration_cap_warns(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0])
+        data = LabeledDataset(truth=np.array([1, 1, -1, -1]),
+                              revealed=np.array([True, False, False, True]),
+                              n=4, q=2)
+        with pytest.warns(ConvergenceWarning, match="max_iter=1"):
+            capped = label_propagation(g, data, max_iter=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            converged = label_propagation(g, data)
+        assert list(capped) == [1, 1, -1, -1]
+        assert list(converged) == [1, 1, -1, -1]
 
     def test_successive_differences_shrink(self):
         rng = np.random.default_rng(5)

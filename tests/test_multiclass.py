@@ -10,11 +10,13 @@ from nblw import (
     DeflationError,
     DeflationStack,
     EmptyClusterWarning,
+    LabeledDataset,
     ModelSpec,
     PointMass,
     accuracy,
     apply_deflated,
     apply_deflated_t,
+    build_graph,
     center_weights,
     dense_nb_matrix,
     init_messages_class,
@@ -202,6 +204,16 @@ class TestRunMulticlass:
             a, b = res1.embedding[:, c], res2.embedding[:, c]
             ratio = np.linalg.norm(b) / np.linalg.norm(a)
             assert ratio > 0 and np.allclose(b, a * ratio, atol=1e-8 * np.abs(a * ratio).max())
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_message_raises(self):
+        # finite weights whose incoming sums overflow to inf in the first step
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)], [1e308] * 5)
+        data = LabeledDataset(truth=np.array([0, 1, 2, 0]),
+                              revealed=np.ones(4, bool), n=4, q=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_multiclass(g, data, 3, 4, np.random.default_rng(0))
 
 
 class TestKmeans:
