@@ -1,11 +1,14 @@
-"""Label propagation baseline (harmonic iteration with clamped labels).
+"""Label propagation baseline: the clamped harmonic solution.
 
-Revealed nodes are clamped to one-hot score rows; unlabeled rows are
-repeatedly replaced by the similarity-weighted average of their
-neighbors' rows (Jacobi sweeps, so updates within a sweep are order
-independent) until the scores stop moving.  Propagation runs on the raw
-nonnegative similarities, optionally after pruning the graph to each
-node's top-k most similar neighbors.
+Revealed nodes are clamped to one-hot score rows Y_L.  The free nodes
+(unrevealed, with positive weighted degree) take the harmonic solution of
+Zhu, Ghahramani & Lafferty (ICML 2003), L_FF X_F = W_FL Y_L, where
+L = D - W is the graph Laplacian of the raw nonnegative similarities: each
+free row is the similarity-weighted average of its neighbors' rows.  The
+system is solved by conjugate gradients with the Jacobi preconditioner
+D^-1, all q columns at once.  Free nodes in components without a label
+have a zero right-hand side and keep all-zero rows.  The graph may first
+be pruned to each node's top-k most similar neighbors.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ __all__ = ["ConvergenceWarning", "sparsify_knn", "propagate_scores", "label_prop
 
 
 class ConvergenceWarning(UserWarning):
-    """Label propagation reached its sweep cap before its tolerance."""
+    """Label propagation reached ``max_iter`` before its tolerance."""
 
 
 def sparsify_knn(
@@ -56,16 +59,27 @@ def sparsify_knn(
     return build_graph(g.n, g.pairs[keep_pair], g.pair_weights()[keep_pair])
 
 
+def _neighbor_sums(src, dst, weight, x, n):
+    """Row i of the result is the sum of weight * x[src] over edges into i."""
+    return np.stack([np.bincount(dst, weights=weight * x[src, c], minlength=n)
+                     for c in range(x.shape[1])], axis=1)
+
+
 def propagate_scores(
     g: WeightedGraph,
     data: LabeledDataset,
     tol: float = 1e-6,
     max_iter: int = 1000,
 ):
-    """Run the clamped harmonic iteration; returns (scores, deltas).
+    """Solve the clamped harmonic system; returns (scores, deltas).
 
-    ``scores`` is the final (n, q) score matrix, ``deltas`` the max
-    score change of the unclamped rows after each sweep.
+    ``scores`` is the (n, q) score matrix: one-hot rows for revealed
+    nodes, the conjugate-gradient iterate for free nodes, zero rows for the
+    rest.  ``deltas[i]`` is max |D^-1 r| over the free rows and the columns
+    after iteration i, r = W_FL Y_L - L_FF X_F being the residual: the
+    most that one Jacobi sweep (replacing each free row by its neighbors'
+    weighted average) would move a score from that iterate.  The solve
+    stops once a delta is below ``tol`` or after ``max_iter`` iterations.
     """
     if not data.revealed.any():
         raise ValueError("label propagation needs at least one revealed label")
@@ -74,28 +88,40 @@ def propagate_scores(
 
     q = data.q
     cls = data.class_indices()
-    clamped = np.zeros((g.n, q))
-    clamped[data.revealed, cls[data.revealed]] = 1.0
+    scores = np.zeros((g.n, q))
+    scores[data.revealed, cls[data.revealed]] = 1.0
 
-    denom = np.bincount(g.dst, weights=g.weight, minlength=g.n)
-    reachable = denom > 0
-    free = ~data.revealed & reachable
+    degree = np.bincount(g.dst, weights=g.weight, minlength=g.n)
+    free = ~data.revealed & (degree > 0)
+    nf = int(free.sum())
+    d = degree[free][:, None]
 
-    scores = clamped.copy()
+    # right-hand side W_FL Y_L, then the free-to-free edges renumbered
+    r = _neighbor_sums(g.src, g.dst, g.weight, scores, g.n)[free]
+    inner = free[g.src] & free[g.dst]
+    index = np.cumsum(free) - 1
+    src, dst, weight = index[g.src[inner]], index[g.dst[inner]], g.weight[inner]
+
+    x = np.zeros((nf, q))
+    z = r / d
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
     deltas = []
     for _ in range(max_iter):
-        nxt = np.empty_like(scores)
-        for c in range(q):
-            nxt[:, c] = np.bincount(
-                g.dst, weights=g.weight * scores[g.src, c], minlength=g.n
-            )
-        nxt[reachable] /= denom[reachable, None]
-        nxt[~free] = clamped[~free]
-        delta = float(np.max(np.abs(nxt[free] - scores[free]))) if free.any() else 0.0
-        deltas.append(delta)
-        scores = nxt
-        if delta < tol:
+        ap = d * p - _neighbor_sums(src, dst, weight, p, nf)
+        pap = np.einsum("ij,ij->j", p, ap)
+        # a solved column has r = p = 0; its step and direction stay 0
+        step = np.divide(rz, pap, out=np.zeros(q), where=pap > 0)
+        x += step * p
+        r -= step * ap
+        z = r / d
+        deltas.append(float(np.abs(z).max(initial=0.0)))
+        if deltas[-1] < tol:
             break
+        rz_next = np.einsum("ij,ij->j", r, z)
+        p = z + np.divide(rz_next, rz, out=np.zeros(q), where=rz > 0) * p
+        rz = rz_next
+    scores[free] = x
     return scores, deltas
 
 
@@ -113,13 +139,14 @@ def label_propagation(
     components) and fall back to the most frequent revealed class;
     score ties resolve to the lowest class index, which for q == 2 is the
     +1 class (the same tie direction as the sign decision of the walk).
-    Stopping at ``max_iter`` before a sweep moved the scores by less than
-    ``tol`` emits a :class:`ConvergenceWarning`.
+    Stopping at ``max_iter`` while a Jacobi sweep from the last iterate
+    would still move a score by ``tol`` or more (``deltas[-1] >= tol`` in
+    :func:`propagate_scores`) emits a :class:`ConvergenceWarning`.
     """
     scores, deltas = propagate_scores(g, data, tol=tol, max_iter=max_iter)
     if not deltas or deltas[-1] >= tol:
-        warnings.warn(f"label propagation stopped at max_iter={max_iter} before a "
-                      f"sweep changed the scores by less than tol={tol:g}",
+        warnings.warn(f"label propagation stopped at max_iter={max_iter} before its "
+                      f"Jacobi residual fell below tol={tol:g}",
                       ConvergenceWarning, stacklevel=2)
     cls = data.class_indices()
     out_cls = scores.argmax(axis=1)

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that exercise the walk API end to end."""
+"""Smoke runs of the demos that exercise the walk and LP APIs end to end."""
 
 import os
 import pathlib
@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, expect", [
     ("01_operator_basics.py", "sparse == dense matrix product: True"),
+    ("04_blobs_vs_label_propagation.py", "LP @ 10% labels"),
     ("05_multiclass_deflation.py", "accuracy after label matching"),
 ])
 def test_demo_runs(script, expect):
@@ -23,3 +24,4 @@ def test_demo_runs(script, expect):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+    assert "ConvergenceWarning" not in proc.stderr
