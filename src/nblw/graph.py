@@ -8,6 +8,13 @@ operator cost O(half_edges): the weighted sum of incoming messages is
 accumulated once per node and the single backtracking term is subtracted
 per half-edge, instead of re-scanning each neighborhood per edge.
 
+:func:`build_graph` costs one stable sort of the m canonical pair keys (for
+dedup), one stable argsort of m endpoints, and O(n + m) otherwise.  It
+sorts no half-edges: in (src, dst) order, node u's out-edges are its
+backward half-edges u->lo (lo < u) ordered by lo, then its forward
+half-edges u->hi (hi > u) ordered by hi, so degree counts place each
+half-edge directly at its final index.
+
 Messages (one real value per half-edge) are carried in a
 :class:`MessageState`, which also accumulates the logarithm of the
 positive rescaling factors applied after each operator application.
@@ -122,7 +129,7 @@ class MessageState:
         """The next state from the raw operator product ``values``, divided
         by its max-absolute value, whose log is added to ``log_scale``.
         A NaN or infinite message raises ValueError."""
-        scale = np.max(np.abs(values)) if values.size else 0.0
+        scale = max(values.max(), -values.min()) if values.size else 0.0
         if not np.isfinite(scale):
             raise ValueError(f"non-finite message after iteration {self.iteration + 1}")
         log_scale = self.log_scale
@@ -146,6 +153,14 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
     Self-loops are rejected.  Duplicate pairs (in either orientation) are
     deduplicated keeping the first occurrence; the count of dropped pairs
     is recorded on the graph.
+
+    Cost: one stable sort of the m canonical (lo, hi) keys, which also
+    dedups, one stable argsort of the m ``hi`` endpoints, and O(n + m)
+    counting and scattering.  The half-edges are never sorted: the forward
+    half-edge lo->hi of key rank r goes to index r plus the number of
+    backward half-edges at nodes <= lo, and the backward half-edge hi->lo
+    of rank r in (hi, lo) order goes to r plus the number of forward
+    half-edges at nodes < hi.
 
     Parameters
     ----------
@@ -172,31 +187,62 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-loops are not allowed")
 
-    # Dedup on the canonical (min, max) key, keeping first occurrences in
-    # input order so caller-side per-pair arrays stay aligned.
+    # Dedup on the canonical (lo, hi) key.  The stable sort puts each key's
+    # first input occurrence first in its run; the survivors, listed in
+    # key order, become ``kept``.
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     key = lo * np.int64(n) + hi
-    _, first = np.unique(key, return_index=True)
-    dropped = pairs.shape[0] - first.shape[0]
+    kept = np.argsort(key, kind="stable")
+    key = key[kept]
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    kept = kept[first]
+    dropped = pairs.shape[0] - kept.shape[0]
+    lo, hi = lo[kept], hi[kept]
     if dropped:
-        first.sort()
-        pairs = pairs[first]
-        weights = weights[first]
-    m = pairs.shape[0]
+        # Survivors keep their input order so caller-side per-pair arrays
+        # stay aligned; ``kept`` becomes an index into the survivors.
+        survivor = np.zeros(pairs.shape[0], dtype=bool)
+        survivor[kept] = True
+        pairs = pairs[survivor]
+        weights = weights[survivor]
+        kept = (np.cumsum(survivor) - 1)[kept]
+        del survivor
+    del first
+    m = kept.shape[0]
 
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    weight = np.concatenate([weights, weights])
-    pair_id = np.concatenate([np.arange(m), np.arange(m)])
+    # fwd[r] and back[r]: final indices of the half-edges lo->hi and hi->lo
+    # of the pair of key rank r, placed by degree counts (see docstring).
+    # lo and hi live to the return: freed before the outputs below, they
+    # left later walks' temporaries at the top of the heap, where malloc
+    # trimmed and refaulted them each step (n = 1e5: 10-20 % slower walk).
+    fwd_deg = np.bincount(lo, minlength=n)
+    back_deg = np.bincount(hi, minlength=n)
+    node_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fwd_deg + back_deg, out=node_offsets[1:])
+    ranks = np.arange(m)
+    fwd = ranks + np.cumsum(back_deg)[lo]
+    del back_deg
+    by_hi = np.argsort(hi, kind="stable")
+    back = np.empty(m, dtype=np.int64)
+    back[by_hi] = ranks + (np.cumsum(fwd_deg) - fwd_deg)[hi[by_hi]]
+    del by_hi, ranks, fwd_deg
 
-    order = np.lexsort((dst, src))
-    src, dst, weight, pair_id = src[order], dst[order], weight[order], pair_id[order]
-
-    # (src, dst) keys are sorted, so the twin is found by binary search.
-    ekey = src * np.int64(n) + dst
-    twin = np.searchsorted(ekey, dst * np.int64(n) + src)
-    node_offsets = np.searchsorted(src, np.arange(n + 1))
+    src = np.repeat(np.arange(n), np.diff(node_offsets))
+    dst = np.empty(2 * m, dtype=np.int64)
+    dst[fwd] = hi
+    dst[back] = lo
+    weight = np.empty(2 * m)
+    weight[fwd] = weight[back] = weights[kept]
+    pair_id = np.empty(2 * m, dtype=np.int64)
+    pair_id[fwd] = pair_id[back] = kept
+    del kept
+    twin = np.empty(2 * m, dtype=np.int64)
+    twin[fwd] = back
+    twin[back] = fwd
 
     return WeightedGraph(
         n=n,

@@ -32,6 +32,10 @@ __all__ = [
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+# Pairs per block of the sampled distance kernel; at d = 784 a block's
+# temporaries take about 25 MB, and 1024 timed faster than 256 or 4096.
+_PAIR_BLOCK = 1024
+
 
 def _open_maybe_gzip(path):
     with open(path, "rb") as fh:
@@ -121,20 +125,29 @@ def calibrate_sigma(sq_distances) -> float:
 
 
 def _sq_distances(points, pairs, metric):
-    """Squared distances for exactly the given pairs (no all-pairs work)."""
-    a, b = points[pairs[:, 0]], points[pairs[:, 1]]
-    if metric == "euclidean":
-        return ((a - b) ** 2).sum(axis=1)
-    if metric == "cosine":
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        dots = np.einsum("ij,ij->i", a, b)
-        ok = (na > 0) & (nb > 0)
-        cos = np.zeros(pairs.shape[0])
-        np.divide(dots, na * nb, out=cos, where=ok)
-        d = np.where(ok, 1.0 - cos, 1.0)
-        return d**2
-    raise ValueError(f"unknown metric {metric!r}")
+    """Squared distances for exactly the given pairs (no all-pairs work).
+
+    The endpoints are gathered ``_PAIR_BLOCK`` pairs at a time, so the
+    temporaries take O(block * d) memory rather than O(m * d); each row's
+    reduction is the same as in one unblocked pass.
+    """
+    if metric not in ("euclidean", "cosine"):
+        raise ValueError(f"unknown metric {metric!r}")
+    out = np.empty(pairs.shape[0])
+    for start in range(0, pairs.shape[0], _PAIR_BLOCK):
+        block = pairs[start:start + _PAIR_BLOCK]
+        a, b = points[block[:, 0]], points[block[:, 1]]
+        if metric == "euclidean":
+            out[start:start + _PAIR_BLOCK] = ((a - b) ** 2).sum(axis=1)
+        else:
+            na = np.linalg.norm(a, axis=1)
+            nb = np.linalg.norm(b, axis=1)
+            dots = np.einsum("ij,ij->i", a, b)
+            ok = (na > 0) & (nb > 0)
+            cos = np.zeros(block.shape[0])
+            np.divide(dots, na * nb, out=cos, where=ok)
+            out[start:start + _PAIR_BLOCK] = np.where(ok, 1.0 - cos, 1.0) ** 2
+    return out
 
 
 @dataclass

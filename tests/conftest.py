@@ -1,5 +1,6 @@
-"""Shared helpers: random graph generation, dense-oracle chaining, BFS
-restriction for locality checks, and ensemble moment collection."""
+"""Shared helpers: random graph generation, the reference graph layout,
+dense-oracle chaining, BFS restriction for locality checks, and ensemble
+moment collection."""
 
 import numpy as np
 
@@ -26,6 +27,31 @@ def random_graph(rng, n, p=0.4, w_low=-1.0, w_high=1.0):
     weights = rng.uniform(w_low, w_high, pairs.shape[0])
     weights[weights == 0] = 0.5
     return build_graph(n, pairs, weights)
+
+
+def lexsort_build_graph(n, pairs, weights):
+    """Reference half-edge layout: both orientations of every first-occurring
+    pair, lexsorted by (src, dst), twins and offsets by binary search."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
+    first.sort()
+    pairs, weights, m = pairs[first], weights[first], first.shape[0]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    ekey = src * np.int64(n) + dst
+    return WeightedGraph(
+        n=n, src=src, dst=dst,
+        weight=np.concatenate([weights, weights])[order],
+        twin=np.searchsorted(ekey, dst * np.int64(n) + src),
+        node_offsets=np.searchsorted(src, np.arange(n + 1)),
+        pair_id=np.concatenate([np.arange(m), np.arange(m)])[order],
+        pairs=pairs,
+        duplicates_dropped=len(lo) - m,
+    )
 
 
 def chained_unscaled(g, x, k):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import chained_unscaled, random_graph
+from conftest import chained_unscaled, lexsort_build_graph, random_graph
 from nblw import (
     MessageState,
     apply_nb,
@@ -11,9 +11,11 @@ from nblw import (
     build_graph,
     center_weights,
     dense_nb_matrix,
+    draw_er_pairs,
     nb_multiply,
     nb_multiply_t,
     pool,
+    sparsify_knn,
 )
 
 
@@ -72,6 +74,65 @@ class TestBuildGraph:
         assert np.array_equal(g.src, g2.src) and np.array_equal(g.twin, g2.twin)
         assert np.allclose(g2.pair_weights(), new)
         assert np.allclose(g2.weight, g2.weight[g2.twin])
+
+
+def _pairs_with_duplicates(rng, n, m):
+    """Random pairs in either orientation, with exact and reversed repeats."""
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    pairs = np.column_stack([i, j])[i != j]
+    again = pairs[rng.random(pairs.shape[0]) < 0.3]
+    flip = rng.random(again.shape[0]) < 0.5
+    again[flip] = again[flip, ::-1]
+    pairs = np.concatenate([pairs, again])
+    return pairs[rng.permutation(pairs.shape[0])]
+
+
+def _layout_cases():
+    rng = np.random.default_rng(11)
+    for t in range(40):
+        n = int(rng.integers(2, 30))
+        pairs = _pairs_with_duplicates(rng, n, int(rng.integers(1, 4 * n)))
+        yield f"random-{t}", n, pairs, rng.standard_normal(pairs.shape[0])
+    # only even nodes carry edges; the odd ones and the tail are isolated
+    pairs = 2 * _pairs_with_duplicates(rng, 20, 60)
+    yield "isolated-nodes", 60, pairs, rng.standard_normal(pairs.shape[0])
+    yield "empty", 7, np.empty((0, 2), dtype=np.int64), np.empty(0)
+    yield "n2", 2, [(1, 0)], [0.5]
+    yield "n2-duplicate", 2, [(1, 0), (0, 1)], [0.5, -0.25]
+    pairs = draw_er_pairs(20_000, 10.0, rng)
+    yield "er-2e4", 20_000, pairs, rng.standard_normal(pairs.shape[0])
+    pairs = draw_er_pairs(3000, 12.0, rng)
+    sims = rng.random(pairs.shape[0])
+    knn = sparsify_knn(build_graph(3000, pairs, sims), sims, k=3)
+    yield "sparsify-knn", 3000, knn.pairs, knn.pair_weights()
+
+
+LAYOUT_CASES = list(_layout_cases())
+
+
+class TestBuildGraphLayout:
+    """``build_graph`` places half-edges exactly where the lexsort layout does."""
+
+    @pytest.mark.parametrize(
+        "n,pairs,weights", [c[1:] for c in LAYOUT_CASES], ids=[c[0] for c in LAYOUT_CASES]
+    )
+    def test_matches_lexsort_reference(self, n, pairs, weights):
+        g = build_graph(n, pairs, weights)
+        ref = lexsort_build_graph(n, pairs, weights)
+        assert g.n == ref.n
+        assert g.duplicates_dropped == ref.duplicates_dropped
+        for field in ("src", "dst", "weight", "twin", "node_offsets", "pair_id", "pairs"):
+            got, want = getattr(g, field), getattr(ref, field)
+            assert got.dtype == want.dtype, field
+            assert got.shape == want.shape, field
+            assert np.array_equal(got, want), field
+
+    def test_cases_cover_duplicates_and_isolated_nodes(self):
+        graphs = {name: build_graph(*args) for name, *args in LAYOUT_CASES}
+        assert sum(graphs[f"random-{t}"].duplicates_dropped > 0 for t in range(40)) >= 30
+        assert graphs["n2-duplicate"].duplicates_dropped == 1
+        assert np.any(graphs["isolated-nodes"].degrees() == 0)
+        assert graphs["empty"].num_half_edges == 0
 
 
 class TestCenterWeights:

@@ -3,12 +3,14 @@
 import gzip
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nblw import (
     calibrate_sigma,
+    draw_er_pairs,
     dataset_from_truth,
     load_mnist_subset,
     pair_similarity,
@@ -18,6 +20,7 @@ from nblw import (
     run_binary,
     subsample_and_weight,
 )
+from nblw import ingest
 
 
 def write_idx_images(path, pixels):
@@ -209,6 +212,44 @@ class TestSubsampleAndWeight:
         pts = rng.standard_normal((500, 2))
         graph, sims = subsample_and_weight(pts, 4.0, "euclidean", np.random.default_rng(2))
         assert graph.num_pairs == sims.shape[0]
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_blocks_match_one_pass_bit_for_bit(self, monkeypatch, metric):
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((400, 37))
+        pts[3] = 0.0  # a zero vector takes the cosine fallback
+        pairs = draw_er_pairs(400, 10.0, rng)
+        pairs = np.concatenate([pairs, [(3, 5), (5, 3)]])
+        a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
+        if metric == "euclidean":
+            want = ((a - b) ** 2).sum(axis=1)
+        else:
+            na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+            ok = (na > 0) & (nb > 0)
+            cos = np.zeros(pairs.shape[0])
+            np.divide(np.einsum("ij,ij->i", a, b), na * nb, out=cos, where=ok)
+            want = np.where(ok, 1.0 - cos, 1.0) ** 2
+        monkeypatch.setattr(ingest, "_PAIR_BLOCK", 97)
+        assert pairs.shape[0] > 10 * 97
+        assert np.array_equal(ingest._sq_distances(pts, pairs, metric), want)
+
+    def test_memory_independent_of_pairs_times_dim(self, monkeypatch):
+        # m * d = 5M floats: the two gathered endpoint arrays alone would
+        # take 80 MB; blocked, the kernel's temporaries take O(block * d)
+        monkeypatch.setattr(ingest, "_PAIR_BLOCK", 256)
+        rng = np.random.default_rng(9)
+        pts = rng.standard_normal((2000, 250))
+        tracemalloc.start()
+        try:
+            res = subsample_and_weight(pts, 20.0, "euclidean", np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m, d = res.graph.num_pairs, pts.shape[1]
+        assert m > 15_000
+        assert peak < 8 * 256 * d * 8 + 200 * m < m * d * 8 / 4
 
 
 class TestLoadMnistSubset:
