@@ -24,8 +24,11 @@ g = build_graph(5, pairs, center_weights(sims))
 
 print(f"nodes: {g.n}, undirected pairs: {g.num_pairs}, half-edges: {g.num_half_edges}")
 print(f"degrees: {g.degrees()}")
-print("each half-edge knows its reverse: twin(twin(e)) == e ->",
-      np.all(g.twin[g.twin] == np.arange(g.num_half_edges)))
+# Half-edge p runs pairs[p, 0] -> pairs[p, 1]; half-edge m + p is its reverse.
+m = g.num_pairs
+twin = (np.arange(g.num_half_edges) + m) % (2 * m)
+print(f"the reverse of half-edge e is (e + m) mod 2m, m = {m}:",
+      np.all((g.src[twin] == g.dst) & (g.dst[twin] == g.src)))
 
 # One operator application: each outgoing message becomes the weighted sum
 # of incoming messages, excluding the one that would backtrack.

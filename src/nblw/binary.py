@@ -2,8 +2,9 @@
 
 Initialize one message per directed edge from the revealed labels
 (unrevealed sources get i.i.d. +-1), iterate the non-backtracking update
-k_max times, pool incoming messages per node, and label each node by the
-sign of its pooled value.
+k_max times, pool incoming messages per node, negate the pooled vector if
+it disagrees with the revealed labels on balance, and label each node by
+the sign of its pooled value.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def power_iterate(g: WeightedGraph, state: MessageState, k_max: int) -> MessageS
     return state
 
 
+def align_to_labels(pooled: np.ndarray, data: LabeledDataset) -> np.ndarray:
+    """``pooled``, negated if sum over revealed i of pooled_i * label_i < 0:
+    from few labels, the random messages out of unrevealed nodes can win
+    and give the mirror labelling.  The check is global, so it stays out
+    of :func:`decide`, whose decision at a node is local."""
+    if pooled[data.revealed] @ data.truth[data.revealed] < 0.0:
+        return -pooled
+    return pooled
+
+
 def decide(g: WeightedGraph, pooled: np.ndarray, data: LabeledDataset) -> np.ndarray:
     """Sign decision with deterministic ties: sign(0) -> +1.
 
@@ -62,7 +73,9 @@ def decide(g: WeightedGraph, pooled: np.ndarray, data: LabeledDataset) -> np.nda
 
 
 def run_binary(g: WeightedGraph, data: LabeledDataset, k_max: int = DEFAULT_KMAX, rng=None):
-    """Full two-cluster pipeline; returns (assignments, pooled vector).
+    """Full two-cluster pipeline; returns (assignments, pooled vector),
+    the pooled vector aligned with the revealed labels by
+    :func:`align_to_labels`.
 
     Assignments are reported for every node, labeled ones included
     (messages are initialized from the labels but never clamped back).
@@ -71,7 +84,7 @@ def run_binary(g: WeightedGraph, data: LabeledDataset, k_max: int = DEFAULT_KMAX
         rng = np.random.default_rng()
     state = init_messages(g, data, rng)
     state = power_iterate(g, state, k_max)
-    pooled = pool(g, state)
+    pooled = align_to_labels(pool(g, state), data)
     return decide(g, pooled, data), pooled
 
 

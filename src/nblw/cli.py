@@ -24,7 +24,8 @@ import time
 
 import numpy as np
 
-from .binary import DEFAULT_KMAX, accuracy, decide, init_messages, power_iterate
+from .binary import (DEFAULT_KMAX, accuracy, align_to_labels, decide, init_messages,
+                     power_iterate)
 from .graph import center_weights, pool
 from .ingest import load_mnist_subset, read_csv_vectors, subsample_and_weight
 from .label_prop import label_propagation, sparsify_knn
@@ -120,7 +121,7 @@ def _run_nblw(g, data: LabeledDataset, kmax: int, rng):
         t0 = time.perf_counter()
         state = power_iterate(g, init_messages(g, data, rng), kmax)
         t1 = time.perf_counter()
-        est = decide(g, pool(g, state), data)
+        est = decide(g, align_to_labels(pool(g, state), data), data)
         t2 = time.perf_counter()
         return (*_accuracies(est, data), t1 - t0, t2 - t1)
     t0 = time.perf_counter()

@@ -1,19 +1,13 @@
 """Sparse weighted similarity graphs stored as directed half-edges.
 
-Every sampled undirected pair (i, j) is materialized as the two directed
-half-edges i->j and j->i, grouped contiguously by source node, with a
-precomputed ``twin`` index mapping each half-edge to its reverse
-orientation.  This layout makes one application of the non-backtracking
-operator cost O(half_edges): the weighted sum of incoming messages is
-accumulated once per node and the single backtracking term is subtracted
-per half-edge, instead of re-scanning each neighborhood per edge.
-
-:func:`build_graph` costs one stable sort of the m canonical pair keys (for
-dedup), one stable argsort of m endpoints, and O(n + m) otherwise.  It
-sorts no half-edges: in (src, dst) order, node u's out-edges are its
-backward half-edges u->lo (lo < u) ordered by lo, then its forward
-half-edges u->hi (hi > u) ordered by hi, so degree counts place each
-half-edge directly at its final index.
+The m deduplicated undirected pairs, in first-occurrence input order, are
+the graph.  Half-edge p is ``pairs[p, 0] -> pairs[p, 1]`` and half-edge
+m + p is its reverse, so the twin of half-edge e is (e + m) mod 2m and
+swapping the two halves of a message vector reverses every message.  One
+application of the non-backtracking operator costs O(half_edges): the
+weighted sum of incoming messages is accumulated once per node and the
+single backtracking term, read from the other half, is subtracted per
+half-edge, instead of re-scanning each neighborhood per edge.
 
 Messages (one real value per half-edge) are carried in a
 :class:`MessageState`, which also accumulates the logarithm of the
@@ -56,18 +50,13 @@ class WeightedGraph:
     n : int
         Number of nodes.
     src, dst : int64 arrays, shape (2m,)
-        Endpoints of each half-edge, sorted lexicographically by
-        (src, dst) so the out-edges of a node are contiguous.
+        Endpoints of each half-edge: ``concat(pairs[:, 0], pairs[:, 1])``
+        and ``concat(pairs[:, 1], pairs[:, 0])``.  Half-edge p (p < m) is
+        ``pairs[p, 0] -> pairs[p, 1]`` and half-edge m + p its reverse: the
+        twin of half-edge e is (e + m) mod 2m.
     weight : float64 array, shape (2m,)
-        Weight per half-edge; ``weight[e] == weight[twin[e]]``.
-    twin : int64 array, shape (2m,)
-        Index of the reverse half-edge; an involution.
-    node_offsets : int64 array, shape (n + 1,)
-        CSR pointers: the out-edges of node u are the half-edges in
-        ``[node_offsets[u], node_offsets[u + 1])``.
-    pair_id : int64 array, shape (2m,)
-        Index of the undirected pair each half-edge came from, aligned
-        with the (deduplicated) ``pairs`` array.
+        Weight per half-edge, the pair weights twice over:
+        ``weight[e] == weight[(e + m) % (2 * m)]``.
     pairs : int64 array, shape (m, 2)
         Accepted undirected pairs, in first-occurrence input order.
     duplicates_dropped : int
@@ -78,9 +67,6 @@ class WeightedGraph:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    twin: np.ndarray
-    node_offsets: np.ndarray
-    pair_id: np.ndarray
     pairs: np.ndarray
     duplicates_dropped: int = 0
 
@@ -94,16 +80,15 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """Out-degree (= undirected degree) per node."""
-        return np.diff(self.node_offsets)
+        return np.bincount(self.src, minlength=self.n)
 
     def pair_weights(self) -> np.ndarray:
-        """Weight per undirected pair, aligned with ``pairs``."""
-        w = np.empty(self.num_pairs)
-        w[self.pair_id] = self.weight
-        return w
+        """Weight per undirected pair, aligned with ``pairs`` (a view of
+        the first half of ``weight``)."""
+        return self.weight[: self.num_pairs]
 
     def with_pair_weights(self, pair_weights) -> "WeightedGraph":
-        """Same topology with new per-pair weights (O(2m), no re-sort)."""
+        """Same topology with new per-pair weights (O(2m))."""
         pw = np.asarray(pair_weights, dtype=np.float64)
         if pw.shape != (self.num_pairs,):
             raise ValueError(
@@ -111,7 +96,7 @@ class WeightedGraph:
             )
         if not np.all(np.isfinite(pw)):
             raise ValueError("pair weights must be finite")
-        return replace(self, weight=pw[self.pair_id])
+        return replace(self, weight=np.concatenate([pw, pw]))
 
 
 @dataclass
@@ -152,15 +137,11 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
 
     Self-loops are rejected.  Duplicate pairs (in either orientation) are
     deduplicated keeping the first occurrence; the count of dropped pairs
-    is recorded on the graph.
+    is recorded on the graph.  The survivors keep their input order and
+    orientation, so caller-side per-pair arrays stay aligned.
 
-    Cost: one stable sort of the m canonical (lo, hi) keys, which also
-    dedups, one stable argsort of the m ``hi`` endpoints, and O(n + m)
-    counting and scattering.  The half-edges are never sorted: the forward
-    half-edge lo->hi of key rank r goes to index r plus the number of
-    backward half-edges at nodes <= lo, and the backward half-edge hi->lo
-    of rank r in (hi, lo) order goes to r plus the number of forward
-    half-edges at nodes < hi.
+    Cost: one stable sort of the m canonical (lo, hi) keys, and O(m)
+    copying.
 
     Parameters
     ----------
@@ -188,72 +169,30 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
         raise ValueError("self-loops are not allowed")
 
     # Dedup on the canonical (lo, hi) key.  The stable sort puts each key's
-    # first input occurrence first in its run; the survivors, listed in
-    # key order, become ``kept``.
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    key = lo * np.int64(n) + hi
-    kept = np.argsort(key, kind="stable")
-    key = key[kept]
+    # first input occurrence first in its run.
+    a, b = pairs[:, 0], pairs[:, 1]
+    key = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     first = np.empty(key.shape[0], dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     del key
-    kept = kept[first]
-    dropped = pairs.shape[0] - kept.shape[0]
-    lo, hi = lo[kept], hi[kept]
+    dropped = pairs.shape[0] - int(first.sum())
     if dropped:
-        # Survivors keep their input order so caller-side per-pair arrays
-        # stay aligned; ``kept`` becomes an index into the survivors.
         survivor = np.zeros(pairs.shape[0], dtype=bool)
-        survivor[kept] = True
+        survivor[order[first]] = True
         pairs = pairs[survivor]
         weights = weights[survivor]
-        kept = (np.cumsum(survivor) - 1)[kept]
-        del survivor
-    del first
-    m = kept.shape[0]
-
-    # fwd[r] and back[r]: final indices of the half-edges lo->hi and hi->lo
-    # of the pair of key rank r, placed by degree counts (see docstring).
-    # lo and hi live to the return: freed before the outputs below, they
-    # left later walks' temporaries at the top of the heap, where malloc
-    # trimmed and refaulted them each step (n = 1e5: 10-20 % slower walk).
-    fwd_deg = np.bincount(lo, minlength=n)
-    back_deg = np.bincount(hi, minlength=n)
-    node_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(fwd_deg + back_deg, out=node_offsets[1:])
-    ranks = np.arange(m)
-    fwd = ranks + np.cumsum(back_deg)[lo]
-    del back_deg
-    by_hi = np.argsort(hi, kind="stable")
-    back = np.empty(m, dtype=np.int64)
-    back[by_hi] = ranks + (np.cumsum(fwd_deg) - fwd_deg)[hi[by_hi]]
-    del by_hi, ranks, fwd_deg
-
-    src = np.repeat(np.arange(n), np.diff(node_offsets))
-    dst = np.empty(2 * m, dtype=np.int64)
-    dst[fwd] = hi
-    dst[back] = lo
-    weight = np.empty(2 * m)
-    weight[fwd] = weight[back] = weights[kept]
-    pair_id = np.empty(2 * m, dtype=np.int64)
-    pair_id[fwd] = pair_id[back] = kept
-    del kept
-    twin = np.empty(2 * m, dtype=np.int64)
-    twin[fwd] = back
-    twin[back] = fwd
+    del order, first
 
     return WeightedGraph(
         n=n,
-        src=src,
-        dst=dst,
-        weight=weight,
-        twin=twin,
-        node_offsets=node_offsets,
-        pair_id=pair_id,
+        src=np.concatenate([pairs[:, 0], pairs[:, 1]]),
+        dst=np.concatenate([pairs[:, 1], pairs[:, 0]]),
+        weight=np.concatenate([weights, weights]),
         pairs=pairs,
-        duplicates_dropped=int(dropped),
+        duplicates_dropped=dropped,
     )
 
 
@@ -279,17 +218,29 @@ def _check_size(g: WeightedGraph, x: np.ndarray):
         )
 
 
+def _sum_into(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
+    """Per node, the sum of ``values`` over its incoming half-edges in
+    half-edge order: increasing source order for pairs (lo, hi) listed in
+    key order, as the samplers emit them.  float64 also for an empty graph,
+    where ``bincount`` returns int64 zeros."""
+    return np.bincount(g.dst, weights=values, minlength=g.n).astype(np.float64, copy=False)
+
+
 def nb_multiply(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     """Raw non-backtracking operator product B.x (no rescaling).
 
     out(i->j) = sum over l in neighbors(i) \\ {j} of w_il * x(l->i),
-    computed as the full incoming sum at i minus the backtracking term.
+    computed as the full incoming sum at i minus the backtracking term,
+    which sits on the twin, in the other half.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_size(g, x)
-    incoming = g.weight * x[g.twin]  # on out-edge (i->l): w_il * x(l->i)
-    totals = np.bincount(g.src, weights=incoming, minlength=g.n)
-    return totals[g.src] - incoming
+    m = g.num_pairs
+    into = g.weight * x  # on half-edge (l->i): w_il * x(l->i)
+    out = _sum_into(g, into)[g.src]
+    out[:m] -= into[m:]
+    out[m:] -= into[:m]
+    return out
 
 
 def nb_multiply_t(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
@@ -299,8 +250,12 @@ def nb_multiply_t(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_size(g, x)
-    totals = np.bincount(g.src, weights=x, minlength=g.n)
-    return g.weight * (totals[g.dst] - x[g.twin])
+    m = g.num_pairs
+    back = np.concatenate([x[m:], x[:m]])  # on half-edge (k->l): x(l->k)
+    out = _sum_into(g, back)[g.dst]
+    out -= back
+    out *= g.weight
+    return out
 
 
 def apply_nb(g: WeightedGraph, v: MessageState) -> MessageState:
@@ -323,8 +278,9 @@ def dense_nb_matrix(g: WeightedGraph) -> np.ndarray:
     if two_m > 4000:
         raise ValueError(f"graph too large for the dense oracle (2m={two_m})")
     rows = np.arange(two_m)
+    twin = (rows + g.num_pairs) % two_m
     cont = g.dst[None, :] == g.src[:, None]        # column ends where row starts
-    not_twin = rows[None, :] != g.twin[:, None]     # and is not the reversal
+    not_twin = rows[None, :] != twin[:, None]       # and is not the reversal
     return np.where(cont & not_twin, g.weight[None, :], 0.0)
 
 
@@ -335,4 +291,4 @@ def pool(g: WeightedGraph, v: MessageState) -> np.ndarray:
     the message state carries; sign decisions are unaffected.
     """
     _check_size(g, v.values)
-    return np.bincount(g.dst, weights=g.weight * v.values, minlength=g.n)
+    return _sum_into(g, g.weight * v.values)

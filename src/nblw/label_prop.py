@@ -44,18 +44,14 @@ def sparsify_knn(
     if mode not in ("union", "mutual"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    s_edge = sims[g.pair_id]
-    # rank within each source block: sort by (src asc, sim desc, dst asc)
-    order = np.lexsort((g.dst, -s_edge, g.src))
+    # rank within each source's out-edges: sort by (src asc, sim desc, dst asc)
+    order = np.lexsort((g.dst, -np.concatenate([sims, sims]), g.src))
+    degree = g.degrees()
     rank = np.empty(g.num_half_edges, dtype=np.int64)
-    rank[order] = np.arange(g.num_half_edges) - np.repeat(
-        g.node_offsets[:-1], np.diff(g.node_offsets)
-    )
-    chosen = rank < k
-    keep_edge = (chosen | chosen[g.twin]) if mode == "union" else (chosen & chosen[g.twin])
-
-    keep_pair = np.zeros(g.num_pairs, dtype=bool)
-    keep_pair[g.pair_id[keep_edge]] = True
+    rank[order] = np.arange(g.num_half_edges) - np.repeat(np.cumsum(degree) - degree, degree)
+    # row 0 ranks pair p from pairs[p, 0]'s side, row 1 from pairs[p, 1]'s
+    chosen = (rank < k).reshape(2, g.num_pairs)
+    keep_pair = chosen.any(axis=0) if mode == "union" else chosen.all(axis=0)
     return build_graph(g.n, g.pairs[keep_pair], g.pair_weights()[keep_pair])
 
 

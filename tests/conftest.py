@@ -1,6 +1,6 @@
-"""Shared helpers: random graph generation, the reference graph layout,
-dense-oracle chaining, BFS restriction for locality checks, and ensemble
-moment collection."""
+"""Shared helpers: random graph generation, the reference dedup and
+(src, dst) layout, dense-oracle chaining, BFS restriction for locality
+checks, and ensemble moment collection."""
 
 import numpy as np
 
@@ -29,29 +29,30 @@ def random_graph(rng, n, p=0.4, w_low=-1.0, w_high=1.0):
     return build_graph(n, pairs, weights)
 
 
-def lexsort_build_graph(n, pairs, weights):
-    """Reference half-edge layout: both orientations of every first-occurring
-    pair, lexsorted by (src, dst), twins and offsets by binary search."""
+def dedup_reference(n, pairs, weights):
+    """Reference dedup: the first occurrence of every pair, in input order,
+    and the number of dropped duplicates."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
     first.sort()
-    pairs, weights, m = pairs[first], weights[first], first.shape[0]
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    ekey = src * np.int64(n) + dst
-    return WeightedGraph(
-        n=n, src=src, dst=dst,
-        weight=np.concatenate([weights, weights])[order],
-        twin=np.searchsorted(ekey, dst * np.int64(n) + src),
-        node_offsets=np.searchsorted(src, np.arange(n + 1)),
-        pair_id=np.concatenate([np.arange(m), np.arange(m)])[order],
-        pairs=pairs,
-        duplicates_dropped=len(lo) - m,
-    )
+    return pairs[first], weights[first], len(lo) - first.shape[0]
+
+
+def lexsort_layout(g: WeightedGraph):
+    """Reference (src, dst) layout of g's half-edges: the lexsort
+    permutation ``order`` and, in that order, each half-edge's reverse by
+    binary search."""
+    order = np.lexsort((g.dst, g.src))
+    src, dst = g.src[order], g.dst[order]
+    ekey = src * np.int64(g.n) + dst
+    return order, np.searchsorted(ekey, dst * np.int64(g.n) + src)
+
+
+def twin(g: WeightedGraph) -> np.ndarray:
+    """Index of each half-edge's reverse: (e + m) mod 2m."""
+    return (np.arange(g.num_half_edges) + g.num_pairs) % g.num_half_edges
 
 
 def chained_unscaled(g, x, k):
@@ -63,6 +64,8 @@ def chained_unscaled(g, x, k):
 
 
 def bfs_distances(g: WeightedGraph, start: int) -> np.ndarray:
+    out_edges = np.argsort(g.src, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(g.degrees())])
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[start] = 0
     frontier = [start]
@@ -70,8 +73,7 @@ def bfs_distances(g: WeightedGraph, start: int) -> np.ndarray:
     while frontier:
         nxt = []
         for u in frontier:
-            lo, hi = g.node_offsets[u], g.node_offsets[u + 1]
-            for v in g.dst[lo:hi]:
+            for v in g.dst[out_edges[offsets[u]:offsets[u + 1]]]:
                 if dist[v] < 0:
                     dist[v] = d + 1
                     nxt.append(int(v))
@@ -97,7 +99,8 @@ def transfer_messages(g_from: WeightedGraph, values, g_to: WeightedGraph):
     """Carry per-half-edge values across graphs sharing (src, dst) keys."""
     key_from = g_from.src * np.int64(g_from.n) + g_from.dst
     key_to = g_to.src * np.int64(g_to.n) + g_to.dst
-    idx = np.searchsorted(key_from, key_to)
+    order = np.argsort(key_from)
+    idx = order[np.searchsorted(key_from, key_to, sorter=order)]
     assert np.array_equal(key_from[idx], key_to), "subgraph edge missing in source"
     return np.asarray(values)[idx]
 

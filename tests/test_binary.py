@@ -14,15 +14,19 @@ from nblw import (
     ModelSpec,
     PointMass,
     accuracy,
+    build_graph,
     center_weights,
+    dataset_from_truth,
+    gaussian_blobs,
     init_messages,
     init_messages_class,
     make_instance,
     pool,
     power_iterate,
     run_binary,
+    subsample_and_weight,
 )
-from nblw.binary import decide
+from nblw.binary import align_to_labels, decide
 
 
 def small_instance(seed=0, **kw):
@@ -106,6 +110,22 @@ class TestRunBinary:
         b = run_binary(g, data, 7, np.random.default_rng(6))
         assert np.array_equal(a[0], b[0]) and np.allclose(a[1], b[1])
 
+    def test_pair_order_does_not_change_the_walk(self):
+        """The initial draws follow (src, dst) order, so shuffling and
+        flipping the pair list changes the result only by rounding."""
+        g, _, data, _ = small_instance(seed=8, p_in=Gaussian(0.5, 1),
+                                       p_out=Gaussian(-0.5, 1))
+        rng = np.random.default_rng(9)
+        perm = rng.permutation(g.num_pairs)
+        pairs = g.pairs[perm]
+        flip = rng.random(g.num_pairs) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        shuffled = build_graph(g.n, pairs, g.pair_weights()[perm])
+        a, pa = run_binary(g, data, 10, np.random.default_rng(4))
+        b, pb = run_binary(shuffled, data, 10, np.random.default_rng(4))
+        assert np.allclose(pa, pb, rtol=1e-12, atol=1e-12 * np.abs(pa).max())
+        assert np.array_equal(a, b)
+
     def test_isolated_node_policy(self):
         """Isolated revealed nodes keep their label, others get the tie."""
         from nblw import LabeledDataset, build_graph
@@ -133,6 +153,37 @@ class TestRunBinary:
         pooled[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             decide(g, pooled, data)
+
+    def test_align_to_labels_then_isolated_rule(self):
+        from nblw import LabeledDataset, build_graph
+
+        g = build_graph(4, [(0, 1)], [1.0])
+        data = LabeledDataset(truth=np.array([1, -1, 1, 1]),
+                              revealed=np.array([True, False, True, False]),
+                              n=4, q=2)
+        pooled = np.array([-2.0, 1.0, 0.0, 0.0])  # node 0 disagrees with its label
+        aligned = align_to_labels(pooled, data)
+        assert np.array_equal(aligned, -pooled)
+        assert align_to_labels(aligned, data) is aligned
+        # ties stay +1; the revealed isolated node 2 keeps its label
+        assert list(decide(g, aligned, data)) == [1, -1, 1, 1]
+
+    @pytest.mark.parametrize("graph, walk_seed", [(0, 14), (1, 20)])
+    def test_mirror_labelling_is_negated(self, graph, walk_seed):
+        """Acceptance criterion 9's blobs from 1 % labels: with these walk
+        seeds the pooled signs give the mirror labelling (accuracy about
+        0.02); ``run_binary`` aligns them with the revealed labels."""
+        pts, truth = gaussian_blobs(10**4, [[-3.0, 0.0], [3.0, 0.0]], 1.0,
+                                    np.random.default_rng(99))
+        g = subsample_and_weight(pts, 4.0, "euclidean",
+                                 np.random.default_rng(10_000 + graph)).graph
+        data = dataset_from_truth(truth, 0.01, np.random.default_rng(20_000 + graph))
+        state = init_messages(g, data, np.random.default_rng(walk_seed))
+        raw = pool(g, power_iterate(g, state, 30))
+        assert accuracy(decide(g, raw, data), data.truth, "all", data.revealed) < 0.05
+        est, pooled = run_binary(g, data, 30, np.random.default_rng(walk_seed))
+        assert np.array_equal(pooled, -raw)
+        assert accuracy(est, data.truth, "all", data.revealed) >= 0.95
 
 
 class TestAccuracy:

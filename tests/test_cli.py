@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -31,6 +32,31 @@ SYNTH_FAST = [
     "--reps", "5", "--seed", "11", "--kmax", "8",
     "--p-in", "point:1", "--p-out", "point:-1",
 ]
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# stdout of these sweeps must equal the files under tests/data byte for byte;
+# rewrite a file (nblw <argv> > tests/data/<name>) only for a deliberate
+# change of output, and say which rows changed
+GOLDEN = {
+    "synth_binary_both.csv": [
+        "synth", "--n", "1500", "--alpha", "6,10", "--eta", "0.1", "--reps", "2",
+        "--seed", "21", "--kmax", "10", "--method", "both",
+    ],
+    "synth_q3_both.csv": [
+        "synth", "--n", "1500", "--q", "3", "--alpha", "6,10", "--eta", "0.2",
+        "--reps", "2", "--seed", "3", "--kmax", "10",
+        "--p-in", "point:1", "--p-out", "point:0", "--method", "both",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_golden_file(name):
+    code, out = run_cli(GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestSynth:

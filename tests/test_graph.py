@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import chained_unscaled, lexsort_build_graph, random_graph
+from conftest import chained_unscaled, dedup_reference, lexsort_layout, random_graph, twin
 from nblw import (
     MessageState,
     apply_nb,
@@ -17,13 +17,14 @@ from nblw import (
     pool,
     sparsify_knn,
 )
+from nblw.multiclass import _draw_order
 
 
 class TestBuildGraph:
     def test_smallest_graph(self):
         g = build_graph(2, [(0, 1)], [0.5])
         assert g.num_half_edges == 2
-        assert g.twin[0] == 1 and g.twin[1] == 0
+        assert list(g.src) == [0, 1] and list(g.dst) == [1, 0]
         assert np.allclose(g.weight, [0.5, 0.5])
 
     def test_path_graph_degrees(self):
@@ -61,19 +62,20 @@ class TestBuildGraph:
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 14)))
-            e = np.arange(g.num_half_edges)
-            assert np.array_equal(g.twin[g.twin], e)
-            assert np.allclose(g.weight, g.weight[g.twin])
-            assert g.node_offsets[-1] == g.num_half_edges == 2 * g.num_pairs
+            e, t = np.arange(g.num_half_edges), twin(g)
+            assert np.array_equal(t[t], e)
+            assert np.array_equal(g.src[t], g.dst) and np.array_equal(g.dst[t], g.src)
+            assert np.allclose(g.weight, g.weight[t])
+            assert g.degrees().sum() == g.num_half_edges == 2 * g.num_pairs
 
     def test_with_pair_weights_preserves_topology(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 8)
         new = rng.uniform(0, 1, g.num_pairs)
         g2 = g.with_pair_weights(new)
-        assert np.array_equal(g.src, g2.src) and np.array_equal(g.twin, g2.twin)
+        assert np.array_equal(g.src, g2.src) and np.array_equal(g.dst, g2.dst)
         assert np.allclose(g2.pair_weights(), new)
-        assert np.allclose(g2.weight, g2.weight[g2.twin])
+        assert np.allclose(g2.weight, g2.weight[twin(g2)])
 
 
 def _pairs_with_duplicates(rng, n, m):
@@ -110,22 +112,83 @@ def _layout_cases():
 LAYOUT_CASES = list(_layout_cases())
 
 
+def _csr_products(g, x):
+    """B.x, B^T.x and the pooled vector computed on the (src, dst) layout
+    by the CSR formulas, returned in g's half-edge order."""
+    order, tw = lexsort_layout(g)
+    src, dst, w, xc = g.src[order], g.dst[order], g.weight[order], x[order]
+    incoming = w * xc[tw]
+    fwd = np.bincount(src, weights=incoming, minlength=g.n)[src] - incoming
+    back = w * (np.bincount(src, weights=xc, minlength=g.n)[dst] - xc[tw])
+    out, out_t = np.empty_like(x), np.empty_like(x)
+    out[order], out_t[order] = fwd, back
+    return out, out_t, np.bincount(dst, weights=w * xc, minlength=g.n)
+
+
+LAYOUT_IDS = [c[0] for c in LAYOUT_CASES]
+LAYOUT_ARGS = [c[1:] for c in LAYOUT_CASES]
+# at most 2000 input pairs: 2m <= 4000, within the dense oracle's reach
+DENSE_CASES = [c for c in LAYOUT_CASES if len(c[2]) <= 2000]
+
+
 class TestBuildGraphLayout:
-    """``build_graph`` places half-edges exactly where the lexsort layout does."""
+    """Half-edge p is pairs[p, 0] -> pairs[p, 1] and m + p its reverse, over
+    the first occurrences of the input pairs in input order."""
+
+    @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
+    def test_pair_major_layout(self, n, pairs, weights):
+        g = build_graph(n, pairs, weights)
+        kept, kept_w, dropped = dedup_reference(n, pairs, weights)
+        assert g.n == n and g.duplicates_dropped == dropped
+        want = {
+            "pairs": kept,
+            "src": np.concatenate([kept[:, 0], kept[:, 1]]),
+            "dst": np.concatenate([kept[:, 1], kept[:, 0]]),
+            "weight": np.concatenate([kept_w, kept_w]),
+        }
+        for field, value in want.items():
+            got = getattr(g, field)
+            assert got.dtype == value.dtype, field
+            assert np.array_equal(got, value), field
+        assert np.array_equal(g.pair_weights(), kept_w)
+
+    @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
+    def test_matches_lexsort_reference(self, n, pairs, weights):
+        """The init draws in the lexsort (src, dst) layout: ``_draw_order``
+        is the inverse of its permutation."""
+        g = build_graph(n, pairs, weights)
+        order, _ = lexsort_layout(g)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.shape[0])
+        got = _draw_order(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, inverse)
 
     @pytest.mark.parametrize(
-        "n,pairs,weights", [c[1:] for c in LAYOUT_CASES], ids=[c[0] for c in LAYOUT_CASES]
+        "n,pairs,weights", [c[1:] for c in DENSE_CASES], ids=[c[0] for c in DENSE_CASES]
     )
-    def test_matches_lexsort_reference(self, n, pairs, weights):
+    def test_operators_match_dense_oracle(self, n, pairs, weights):
         g = build_graph(n, pairs, weights)
-        ref = lexsort_build_graph(n, pairs, weights)
-        assert g.n == ref.n
-        assert g.duplicates_dropped == ref.duplicates_dropped
-        for field in ("src", "dst", "weight", "twin", "node_offsets", "pair_id", "pairs"):
-            got, want = getattr(g, field), getattr(ref, field)
-            assert got.dtype == want.dtype, field
-            assert got.shape == want.shape, field
-            assert np.array_equal(got, want), field
+        x = np.random.default_rng(n).standard_normal(g.num_half_edges)
+        B = dense_nb_matrix(g)
+        incidence = np.where(g.dst[None, :] == np.arange(n)[:, None], g.weight[None, :], 0.0)
+        for got, want in ((nb_multiply(g, x), B @ x), (nb_multiply_t(g, x), B.T @ x),
+                          (pool(g, MessageState(x)), incidence @ x)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["er-2e4", "sparsify-knn"])
+    def test_key_ordered_pairs_bit_identical_to_csr(self, name):
+        """On pairs in (lo, hi) key order with lo < hi, as the samplers emit
+        them, each node's terms are added in the CSR order."""
+        n, pairs, weights = LAYOUT_ARGS[LAYOUT_IDS.index(name)]
+        g = build_graph(n, pairs, weights)
+        key = g.pairs[:, 0] * np.int64(n) + g.pairs[:, 1]
+        assert np.all(g.pairs[:, 0] < g.pairs[:, 1]) and np.all(np.diff(key) > 0)
+        x = np.random.default_rng(5).standard_normal(g.num_half_edges)
+        out, out_t, pooled = _csr_products(g, x)
+        assert np.array_equal(nb_multiply(g, x), out)
+        assert np.array_equal(nb_multiply_t(g, x), out_t)
+        assert np.array_equal(pool(g, MessageState(x)), pooled)
 
     def test_cases_cover_duplicates_and_isolated_nodes(self):
         graphs = {name: build_graph(*args) for name, *args in LAYOUT_CASES}
@@ -250,9 +313,10 @@ class TestDenseOracle:
         rng = np.random.default_rng(23)
         g = random_graph(rng, 8)
         B = dense_nb_matrix(g)
+        t = twin(g)
         for e in range(g.num_half_edges):
             for f in range(g.num_half_edges):
-                expected = g.weight[f] if (g.dst[f] == g.src[e] and f != g.twin[e]) else 0.0
+                expected = g.weight[f] if (g.dst[f] == g.src[e] and f != t[e]) else 0.0
                 assert B[e, f] == expected
 
     def test_size_guard(self):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import twin
 from nblw import (
     calibrate_sigma,
     draw_er_pairs,
@@ -199,8 +200,10 @@ class TestSubsampleAndWeight:
         pts = rng.standard_normal((3000, 4))
         res = subsample_and_weight(pts, 6.0, "euclidean", np.random.default_rng(1))
         g = res.graph  # structural invariants hold on the ingest path too
-        assert np.array_equal(g.twin[g.twin], np.arange(g.num_half_edges))
-        assert np.allclose(g.weight, g.weight[g.twin])
+        t = twin(g)
+        assert np.array_equal(t[t], np.arange(g.num_half_edges))
+        assert np.array_equal(g.src[t], g.dst)
+        assert np.allclose(g.weight, g.weight[t])
         assert np.all(res.similarities > 0) and np.all(res.similarities <= 1)
         w = res.graph.pair_weights()
         mean = res.similarities.mean()
