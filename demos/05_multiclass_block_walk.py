@@ -1,10 +1,10 @@
-"""More than two clusters: deflation-based extraction plus k-means.
+"""More than two clusters: one orthonormalized block walk plus k-means.
 
 Four Gaussian blobs are clustered from subsampled kernel similarities.
-Each of the q - 1 = 3 stages power-iterates under a progressively
-deflated operator, pools its messages into one embedding column, and the
-columns are k-means'd.  Stage Rayleigh quotients show how much signal
-each successive direction carried.
+The q - 1 = 3 one-vs-rest initializations are walked as one block,
+re-orthonormalized after every step, and each row is pooled into one
+embedding column; the columns are k-means'd.  The rows' Rayleigh
+quotients show how much signal each direction carried.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ result = run_multiclass(sampled.graph, data, q=4, k_max=30,
                         rng=np.random.default_rng(3))
 acc, perm = match_labels(result.assignments, data.class_indices())
 print(f"\nembedding shape: {result.embedding.shape}")
-print("stage Rayleigh quotients:", np.array2string(result.rayleigh, precision=2))
+print("row Rayleigh quotients:", np.array2string(result.rayleigh, precision=2))
 print(f"accuracy after label matching: {acc:.4f} (permutation {perm})")
 
 print("\nper-cluster sizes (estimated vs true):")

@@ -34,12 +34,8 @@ from .model import (
 )
 from .binary import DEFAULT_KMAX, accuracy, init_messages, power_iterate, run_binary
 from .multiclass import (
-    DeflationError,
-    DeflationStack,
     EmptyClusterWarning,
     MulticlassResult,
-    apply_deflated,
-    apply_deflated_t,
     init_messages_class,
     kmeans,
     match_labels,

@@ -1,35 +1,29 @@
-"""Multi-cluster walk via deflation-based power iteration.
+"""Multi-cluster walk: block power iteration of the non-backtracking operator.
 
-For q clusters, q - 1 pooled vectors are extracted one class at a time:
-initialize messages one-vs-rest from the revealed labels, power-iterate
-under the current deflated operator, pool into an embedding column, then
-deflate away the direction just extracted.  The n x (q-1) embedding is
-clustered with k-means.
-
-The deflated operator never exists as a matrix: each stage stores the
-deflation vector v, its image z = B_c v, coimage u = B_c^T v and the
-scalar v.z, and applications recurse as
-B_{c+1} x = B_c x - z * (u.x) / (v.z).
+For q clusters, the q - 1 one-vs-rest initializations from the revealed
+labels are the rows of one message block X.  Each step applies the
+operator to every row and re-orthonormalizes the block by Cholesky-QR:
+with L = cholesky(X X^T), X becomes L^{-1} X.  In the symmetric q-cluster
+model the informative eigenvalue is (q - 1)-fold degenerate, and the block
+converges to its whole eigenspace at once.  Row 0 keeps the direction of
+the binary walk.  The n x (q-1) embedding of the pooled rows is clustered
+with k-means.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import MessageState, WeightedGraph, nb_multiply, nb_multiply_t, pool
+from .graph import MessageState, WeightedGraph, nb_multiply, pool
 from .model import LabeledDataset
 
 __all__ = [
-    "DeflationError",
     "EmptyClusterWarning",
-    "DeflationStack",
-    "apply_deflated",
-    "apply_deflated_t",
     "init_messages_class",
     "MulticlassResult",
     "run_multiclass",
@@ -37,70 +31,15 @@ __all__ = [
     "match_labels",
 ]
 
-# Relative floor below which a deflation denominator counts as degenerate.
-DENOM_RTOL = 1e-12
 
-
-class DeflationError(RuntimeError):
-    """A deflation stage produced a (near-)zero denominator."""
+# A Cholesky pivot L_cc below this fraction of its row's norm means the row
+# depends on the rows before it: from X X^T, an exactly dependent row still
+# leaves a pivot of up to a few sqrt(eps) ~ 1.5e-8 of its norm.
+_RANK_RTOL = 1e-6
 
 
 class EmptyClusterWarning(UserWarning):
     """k-means ended with fewer than q non-empty clusters."""
-
-
-@dataclass
-class _Stage:
-    v: np.ndarray       # deflation vector
-    z: np.ndarray       # B_c v
-    u: np.ndarray       # B_c^T v
-    denom: float        # v . z
-
-
-@dataclass
-class DeflationStack:
-    """Base graph plus the rank-one corrections accumulated so far."""
-
-    base: WeightedGraph
-    stages: list = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return len(self.stages)
-
-    def push(self, v: np.ndarray):
-        """Record a new deflation stage built from vector v under the
-        current deflated operator; raises on a degenerate denominator."""
-        v = np.asarray(v, dtype=np.float64)
-        z = apply_deflated(self, self.depth, v)
-        u = apply_deflated_t(self, self.depth, v)
-        denom = float(v @ z)
-        floor = DENOM_RTOL * float(np.linalg.norm(v)) * float(np.linalg.norm(z))
-        if abs(denom) <= floor:
-            raise DeflationError(
-                f"deflation stage {self.depth} has degenerate denominator {denom:.3e}"
-            )
-        self.stages.append(_Stage(v=v, z=z, u=u, denom=denom))
-
-
-def apply_deflated(stack: DeflationStack, depth: int, x: np.ndarray) -> np.ndarray:
-    """Apply the depth-times-deflated operator to a raw message vector."""
-    if depth > stack.depth:
-        raise ValueError(f"depth {depth} exceeds stored stages ({stack.depth})")
-    if depth == 0:
-        return nb_multiply(stack.base, np.asarray(x, dtype=np.float64))
-    st = stack.stages[depth - 1]
-    return apply_deflated(stack, depth - 1, x) - st.z * (st.u @ x / st.denom)
-
-
-def apply_deflated_t(stack: DeflationStack, depth: int, x: np.ndarray) -> np.ndarray:
-    """Transpose counterpart of :func:`apply_deflated`."""
-    if depth > stack.depth:
-        raise ValueError(f"depth {depth} exceeds stored stages ({stack.depth})")
-    if depth == 0:
-        return nb_multiply_t(stack.base, np.asarray(x, dtype=np.float64))
-    st = stack.stages[depth - 1]
-    return apply_deflated_t(stack, depth - 1, x) - st.u * (st.z @ x / st.denom)
 
 
 def _draw_order(g: WeightedGraph) -> np.ndarray:
@@ -145,23 +84,55 @@ def init_messages_class(
 @dataclass
 class MulticlassResult:
     assignments: np.ndarray          # in 0..q-1
-    embedding: np.ndarray            # n x (q-1) pooled columns
-    rayleigh: np.ndarray             # per-stage quotient v.B_c v / v.v
-    log_scales: np.ndarray           # per-stage accumulated rescale logs
+    embedding: np.ndarray            # n x (q-1) pooled rows of the block
+    rayleigh: np.ndarray             # per-row quotient x.Bx / x.x of the final block
+    log_scales: np.ndarray           # per-row sum of log L_cc over the steps
+
+
+def _orthonormal_walk(g: WeightedGraph, X: np.ndarray, k_max: int) -> np.ndarray:
+    """Run ``k_max`` steps on the rows of X in place: apply the operator to
+    each row, then replace X by L^{-1} X, with L = cholesky(X X^T), by
+    forward substitution.  Returns the per-row sum of log L_cc."""
+    log_scales = np.zeros(X.shape[0])
+    for i in range(1, k_max + 1):
+        for c in range(X.shape[0]):
+            X[c] = nb_multiply(g, X[c])
+        # row by row: for this skinny shape, X @ X.T took four times as long;
+        # an infinite message makes NaN products, which raise just below
+        with np.errstate(invalid="ignore"):
+            gram = np.array([[x @ y for y in X] for x in X])
+        if not np.all(np.isfinite(gram)):
+            raise ValueError(f"non-finite message after iteration {i}")
+        try:
+            L = np.linalg.cholesky(gram)
+            full_rank = np.all(np.diag(L) > _RANK_RTOL * np.sqrt(np.diag(gram)))
+        except np.linalg.LinAlgError:
+            full_rank = False
+        if not full_rank:
+            raise ValueError(f"message block lost rank at iteration {i}")
+        for c in range(X.shape[0]):
+            for j in range(c):
+                X[c] -= L[c, j] * X[j]
+            X[c] /= L[c, c]
+        log_scales += np.log(np.diag(L))
+    return log_scales
 
 
 def run_multiclass(
     g: WeightedGraph, data: LabeledDataset, q: int, k_max: int, rng=None
 ) -> MulticlassResult:
-    """Extract q - 1 pooled vectors under progressive deflation, then
-    k-means the embedding into q clusters.
+    """Walk the block of the q - 1 one-vs-rest initializations for
+    ``k_max`` orthonormalized steps, pool each row into an embedding
+    column, then k-means the embedding into q clusters.
 
-    Messages are max-abs rescaled between iterations by
-    :meth:`MessageState.advance`, as in the binary walk (the deflation
-    formula is invariant to the scale of its vector, so this only guards
-    against overflow; a non-finite message raises ValueError).  Per-stage
-    Rayleigh quotients are surfaced so a caller can judge how much signal
-    each successive stage carried.
+    The initializations draw from ``rng`` class by class, before k-means.
+    Row c of the walked block is the direction of B^k x_c with the
+    directions of rows 0..c-1 removed, so row 0 is the binary walk's
+    direction.  A non-finite message raises ValueError, and so does a
+    block that loses rank (a row becomes a combination of the rows
+    before it), as on a forest, where the operator is nilpotent.  The
+    per-row Rayleigh quotients of the final block show how much signal
+    each direction carried.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -170,29 +141,21 @@ def run_multiclass(
     if rng is None:
         rng = np.random.default_rng()
 
-    stack = DeflationStack(base=g)
-    columns = []
-    quotients = []
-    log_scales = []
+    X = np.empty((q - 1, g.num_half_edges))
     for c in range(q - 1):
-        state = init_messages_class(g, data, c, rng)
-        for _ in range(k_max):
-            state = state.advance(apply_deflated(stack, c, state.values))
-        columns.append(pool(g, state))
-        log_scales.append(state.log_scale)
-        values = state.values
-        vv = float(values @ values)
-        quotients.append(float(values @ apply_deflated(stack, c, values)) / vv if vv else 0.0)
-        if c < q - 2:
-            stack.push(values)
+        X[c] = init_messages_class(g, data, c, rng).values
+    log_scales = _orthonormal_walk(g, X, k_max)
 
-    embedding = np.column_stack(columns) if columns else np.zeros((g.n, 0))
+    xbx = np.array([x @ nb_multiply(g, x) for x in X])
+    xx = np.einsum("ij,ij->i", X, X)
+    rayleigh = np.divide(xbx, xx, out=np.zeros_like(xx), where=xx > 0)
+    embedding = np.column_stack([pool(g, MessageState(x)) for x in X])
     assignments = kmeans(embedding, q, rng)
     return MulticlassResult(
         assignments=assignments,
         embedding=embedding,
-        rayleigh=np.asarray(quotients),
-        log_scales=np.asarray(log_scales),
+        rayleigh=rayleigh,
+        log_scales=log_scales,
     )
 
 

@@ -23,15 +23,12 @@ from conftest import (
     transfer_messages,
 )
 from nblw import (
-    DeflationStack,
     EmptyClusterWarning,
     FunctionWeight,
     Gaussian,
     MessageState,
     ModelSpec,
     accuracy,
-    apply_deflated,
-    apply_deflated_t,
     apply_nb_transpose,
     center_weights,
     centered_weight,
@@ -59,6 +56,7 @@ from nblw import (
     weight_stats,
 )
 from nblw.binary import decide
+from nblw.multiclass import _orthonormal_walk
 
 GAUSS_IN, GAUSS_OUT = Gaussian(0.5, 1.0), Gaussian(-0.5, 1.0)
 GAUSS_W = centered_weight(GAUSS_IN, GAUSS_OUT)  # delta 0.5, sigma2 1.25
@@ -70,11 +68,12 @@ def report(num, name):
 
 def test_01_operator_oracle():
     """Chained sparse applications equal dense matrix powers, for the
-    operator, its transpose, and deflation depths 1 and 2."""
+    operator and its transpose, and the walked multiclass block equals the
+    positive-diagonal QR factor of B^k X_0."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
+    walked = 0
     for trial in range(50):
-        # enough edges that two deflation stages stay non-degenerate
         while True:
             g = random_graph(rng, int(rng.integers(6, 13)), p=0.6)
             if g.num_half_edges >= 20:
@@ -95,33 +94,19 @@ def test_01_operator_oracle():
         scale_t = max(1.0, np.abs(dense_t).max())
         assert np.abs(state.unscaled() - dense_t).max() <= 1e-9 * scale_t
 
-        # deflation depths 1 and 2 against dense rank-one corrections
-        stack = DeflationStack(base=g)
-        M = B
-        for depth in (1, 2):
-            d = None
-            for _ in range(500):
-                cand = rng.standard_normal(two_m)
-                Mc = M @ cand
-                if abs(cand @ Mc) > 1e-6 * np.linalg.norm(cand) * max(np.linalg.norm(Mc), 1e-12):
-                    d = cand
-                    break
-            if d is None:
-                break  # operator too degenerate at this depth; covered by other trials
-            stack.push(d)
-            M = M - np.outer(M @ d, d @ M) / (d @ (M @ d))
-            x = rng.standard_normal(two_m)
-            cur, cur_t = x.copy(), x.copy()
-            dense_x, dense_t_x = x.copy(), x.copy()
-            for _ in range(k):
-                cur = apply_deflated(stack, depth, cur)
-                cur_t = apply_deflated_t(stack, depth, cur_t)
-                dense_x = M @ dense_x
-                dense_t_x = M.T @ dense_t_x
-            s1 = max(1.0, np.abs(dense_x).max())
-            s2 = max(1.0, np.abs(dense_t_x).max())
-            assert np.abs(cur - dense_x).max() <= 1e-9 * s1
-            assert np.abs(cur_t - dense_t_x).max() <= 1e-9 * s2
+        # the block walk of q - 1 rows against dense QR with R_cc > 0
+        X = rng.standard_normal((int(rng.integers(1, 4)), two_m))
+        Y = np.linalg.matrix_power(B, k) @ X.T
+        if np.linalg.matrix_rank(Y) < X.shape[0]:
+            continue  # the walk raises on a rank-deficient block
+        Q, R = np.linalg.qr(Y)
+        signs = np.sign(np.diag(R))
+        log_scales = _orthonormal_walk(g, X, k)
+        assert np.abs(X - (Q * signs).T).max() <= 1e-9
+        want = np.log(np.abs(np.diag(R)))
+        assert np.abs(log_scales - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        walked += 1
+    assert walked >= 45
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(1, "operator-oracle")

@@ -299,6 +299,14 @@ class TestConfigAndErrors:
         assert code == 1
         assert err.startswith("nblw: error:") and key in err and err.count("\n") == 1
 
+    def test_rank_loss_is_one_line_error(self, capsys):
+        # the sampled graph is a forest, where the operator is nilpotent
+        code = main(["synth", "--n", "60", "--q", "3", "--alpha", "0.5",
+                     "--eta", "0.1", "--kmax", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("nblw: error:") and "lost rank" in err and err.count("\n") == 1
+
     def test_config_number_for_text_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 800, "alpha": 5, "eta": 0.2, "kmax": 5}))

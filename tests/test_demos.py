@@ -13,7 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, expect", [
     ("01_operator_basics.py", "sparse == dense matrix product: True"),
     ("04_blobs_vs_label_propagation.py", "LP @ 10% labels"),
-    ("05_multiclass_deflation.py", "accuracy after label matching"),
+    ("05_multiclass_block_walk.py", "accuracy after label matching"),
 ])
 def test_demo_runs(script, expect):
     env = dict(os.environ)

@@ -1,4 +1,4 @@
-"""Deflation stack, k-means, label matching, and the multi-cluster walk."""
+"""The multi-cluster block walk, k-means and label matching."""
 
 import itertools
 
@@ -7,106 +7,21 @@ import pytest
 
 from conftest import random_graph
 from nblw import (
-    DeflationError,
-    DeflationStack,
     EmptyClusterWarning,
     LabeledDataset,
     ModelSpec,
     PointMass,
     accuracy,
-    apply_deflated,
-    apply_deflated_t,
     build_graph,
     center_weights,
-    dense_nb_matrix,
     init_messages_class,
     kmeans,
     make_instance,
     match_labels,
-    nb_multiply,
     run_binary,
     run_multiclass,
 )
-
-
-def dense_deflate(M, v):
-    Mv = M @ v
-    return M - np.outer(Mv, v @ M) / (v @ Mv)
-
-
-def guarded_vector(rng, M, size, tries=500):
-    """Random vector whose deflation denominator is comfortably nonzero,
-    or None when the operator is too degenerate to support a stage."""
-    for _ in range(tries):
-        v = rng.standard_normal(size)
-        denom = v @ (M @ v)
-        if abs(denom) > 1e-6 * np.linalg.norm(v) * max(np.linalg.norm(M @ v), 1e-12):
-            return v
-    return None
-
-
-class TestApplyDeflated:
-    def test_depth_zero_is_base_operator(self):
-        rng = np.random.default_rng(0)
-        g = random_graph(rng, 9)
-        stack = DeflationStack(base=g)
-        x = rng.standard_normal(g.num_half_edges)
-        assert np.allclose(apply_deflated(stack, 0, x), nb_multiply(g, x))
-
-    def test_dense_deflation_oracle_two_depths(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            while True:
-                g = random_graph(rng, int(rng.integers(6, 11)), p=0.6)
-                if 20 <= g.num_half_edges <= 100:
-                    break
-            B = dense_nb_matrix(g)
-            stack = DeflationStack(base=g)
-            v1 = guarded_vector(rng, B, g.num_half_edges)
-            assert v1 is not None
-            stack.push(v1)
-            D1 = dense_deflate(B, v1)
-            v2 = guarded_vector(rng, D1, g.num_half_edges)
-            assert v2 is not None
-            stack.push(v2)
-            D2 = dense_deflate(D1, v2)
-            x = rng.standard_normal(g.num_half_edges)
-            for depth, M in ((1, D1), (2, D2)):
-                got = apply_deflated(stack, depth, x)
-                want = M @ x
-                scale = max(1.0, np.abs(want).max())
-                assert np.abs(got - want).max() <= 1e-9 * scale
-                got_t = apply_deflated_t(stack, depth, x)
-                want_t = M.T @ x
-                assert np.abs(got_t - want_t).max() <= 1e-9 * scale
-
-    def test_deflation_vector_maps_consistently(self):
-        """Applying the deflated operator to its own deflation vector
-        matches the dense formula B_c v - z (u.v)/denom."""
-        rng = np.random.default_rng(2)
-        g = random_graph(rng, 8, p=0.6)
-        B = dense_nb_matrix(g)
-        stack = DeflationStack(base=g)
-        v1 = guarded_vector(rng, B, g.num_half_edges)
-        assert v1 is not None
-        stack.push(v1)
-        got = apply_deflated(stack, 1, v1)
-        want = dense_deflate(B, v1) @ v1
-        assert np.allclose(got, want, atol=1e-9 * max(1, np.abs(want).max()))
-
-    def test_degenerate_denominator_raises(self):
-        rng = np.random.default_rng(3)
-        g = random_graph(rng, 6)
-        stack = DeflationStack(base=g)
-        with pytest.raises(DeflationError):
-            stack.push(np.zeros(g.num_half_edges))
-
-    def test_depth_beyond_stages(self):
-        rng = np.random.default_rng(4)
-        g = random_graph(rng, 6)
-        stack = DeflationStack(base=g)
-        with pytest.raises(ValueError, match="depth"):
-            apply_deflated(stack, 1, np.zeros(g.num_half_edges))
+from nblw.multiclass import _orthonormal_walk
 
 
 class TestInitMessagesClass:
@@ -178,9 +93,9 @@ class TestRunMulticlass:
             assert np.allclose(res.embedding[:, c], pool(g, MessageState(init)))
 
     def test_rayleigh_ordering_with_spectral_gap(self):
-        """On a model whose common mode dominates the class mode, stage 1
-        extracts the larger quotient and deflation leaves stage 2 the
-        smaller one."""
+        """On a model whose common mode dominates the class mode, row 0 of
+        the block takes the larger quotient and row 1, orthogonal to it,
+        the smaller one."""
         diffs = []
         for seed in range(20):
             spec = ModelSpec(n=3000, q=3, alpha=20.0, eta=0.1,
@@ -214,6 +129,38 @@ class TestRunMulticlass:
                               revealed=np.ones(4, bool), n=4, q=3)
         with pytest.raises(ValueError, match="non-finite"):
             run_multiclass(g, data, 3, 4, np.random.default_rng(0))
+
+    def test_forest_loses_rank(self):
+        # the operator is nilpotent on a forest: on a path, B^5 = 0
+        g = build_graph(6, [(i, i + 1) for i in range(5)], np.ones(5))
+        data = LabeledDataset(truth=np.array([0, 1, 2, 0, 1, 2]),
+                              revealed=np.zeros(6, bool), n=6, q=3)
+        with pytest.raises(ValueError, match="lost rank at iteration"):
+            run_multiclass(g, data, 3, 10, np.random.default_rng(0))
+
+    def test_absent_class_loses_rank(self):
+        """Every node revealed and class 2 absent: the two one-vs-rest
+        rows are exact negatives, whatever the number of steps."""
+        spec = ModelSpec(n=300, q=2, alpha=6.0, eta=1.0,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=0)
+        g, sims, binary = make_instance(spec)
+        g = g.with_pair_weights(center_weights(sims))
+        data = LabeledDataset(truth=binary.class_indices(),
+                              revealed=np.ones(300, bool), n=300, q=3)
+        for k_max in (1, 5, 20):
+            with pytest.raises(ValueError, match="lost rank at iteration 1$"):
+                run_multiclass(g, data, 3, k_max, np.random.default_rng(k_max))
+
+    def test_dependent_row_loses_rank(self):
+        """Row 2 is the sum of rows 0 and 1.  Cholesky of X X^T often still
+        succeeds then, with a pivot of a few sqrt(eps) of the row's norm."""
+        rng = np.random.default_rng(0)
+        g = random_graph(rng, 40, p=0.2)
+        for _ in range(20):
+            X = rng.standard_normal((3, g.num_half_edges))
+            X[2] = X[0] + X[1]
+            with pytest.raises(ValueError, match="lost rank at iteration 1$"):
+                _orthonormal_walk(g, X, 3)
 
 
 class TestKmeans:
