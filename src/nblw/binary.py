@@ -66,9 +66,12 @@ def decide(g: WeightedGraph, pooled: np.ndarray, data: LabeledDataset) -> np.nda
     if not np.all(np.isfinite(pooled)):
         raise ValueError("pooled values must be finite")
     est = np.where(pooled >= 0.0, 1, -1).astype(np.int64)
-    isolated = g.degrees() == 0
-    fix = isolated & data.revealed
-    est[fix] = data.truth[fix]
+    # an isolated node pools to exactly 0, so only revealed zeros need
+    # the degree count
+    fix = data.revealed & (pooled == 0.0)
+    if fix.any():
+        fix &= g.degrees() == 0
+        est[fix] = data.truth[fix]
     return est
 
 

@@ -109,8 +109,12 @@ def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
     if not rev.any():
         acc, _ = match_labels(est, truth)
         return acc, acc
-    _, perm = match_labels(est[rev], truth[rev])
-    hits = np.asarray(perm)[est] == truth
+    # labels absent from the revealed nodes keep their own index, so the
+    # permutation covers all q labels
+    _, matched = match_labels(est[rev], truth[rev])
+    perm = np.arange(data.q)
+    perm[:len(matched)] = matched
+    hits = perm[est] == truth
     return float(np.mean(hits)), float(np.mean(hits[~rev]))
 
 

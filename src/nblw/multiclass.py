@@ -42,39 +42,19 @@ class EmptyClusterWarning(UserWarning):
     """k-means ended with fewer than q non-empty clusters."""
 
 
-def _draw_order(g: WeightedGraph) -> np.ndarray:
-    """Index of each half-edge in (src, dst) order, where the initial draws
-    are made.  There, the forward half-edge lo->hi of (lo, hi) key rank r
-    sits at r plus the backward half-edges at nodes <= lo, and the backward
-    one hi->lo of (hi, lo) rank r at r plus the forward ones at nodes < hi.
-    """
-    n, m = g.n, g.num_pairs
-    a, b = g.pairs[:, 0], g.pairs[:, 1]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # the pairs are distinct, so neither sort needs to be stable
-    by_key = np.argsort(lo * np.int64(n) + hi)
-    by_hi = np.argsort(hi * np.int64(n) + lo)
-    fwd_deg = np.bincount(lo, minlength=n)
-    back_deg = np.bincount(hi, minlength=n)
-    ranks = np.arange(m)
-    fwd = np.empty(m, dtype=np.int64)
-    fwd[by_key] = ranks + np.cumsum(back_deg)[lo[by_key]]
-    back = np.empty(m, dtype=np.int64)
-    back[by_hi] = ranks + (np.cumsum(fwd_deg) - fwd_deg)[hi[by_hi]]
-    forward = a < b
-    return np.concatenate([np.where(forward, fwd, back), np.where(forward, back, fwd)])
-
-
 def init_messages_class(
     g: WeightedGraph, data: LabeledDataset, c: int, rng
 ) -> MessageState:
     """One-vs-rest initialization: out-edges of revealed class-c nodes get
     +1, out-edges of other revealed nodes -1, the rest i.i.d. +-1, drawn
-    in (src, dst) order whatever the graph's half-edge order."""
+    in (src, dst) order whatever the graph's half-edge order.  That order
+    is one argsort of the keys src * n + dst, which are distinct because
+    the pairs are deduplicated and hold no self-loop."""
     if not 0 <= c < data.q:
         raise ValueError(f"class index {c} out of range for q={data.q}")
-    draws = (1 - 2 * rng.integers(0, 2, size=g.num_half_edges)).astype(np.float64)
-    values = draws[_draw_order(g)]
+    values = np.empty(g.num_half_edges)
+    values[np.argsort(g.src * np.int64(g.n) + g.dst)] = (
+        1 - 2 * rng.integers(0, 2, size=g.num_half_edges))
     cls = data.class_indices()
     from_revealed = data.revealed[g.src]
     values[from_revealed] = np.where(cls[g.src[from_revealed]] == c, 1.0, -1.0)

@@ -139,6 +139,15 @@ class TestRunBinary:
         assert est[2] == -1  # revealed isolated keeps its label
         assert est[3] == 1   # unrevealed isolated takes the tie value
 
+        # a revealed node that pools to 0 through a zero weight is not isolated
+        g = build_graph(3, [(0, 1)], [0.0])
+        data = LabeledDataset(truth=np.array([-1, 1, 1]),
+                              revealed=np.array([True, False, False]),
+                              n=3, q=2)
+        est, pooled = run_binary(g, data, 3, np.random.default_rng(0))
+        assert pooled[0] == 0.0 and g.degrees()[0] == 1
+        assert est[0] == 1
+
 
     def test_nan_message_raises(self):
         g, _, _, _ = small_instance()

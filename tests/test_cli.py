@@ -105,6 +105,16 @@ class TestSynth:
         assert {r["method"] for r in rows} == {"nblw", "lp"}
         assert all(float(r["acc_all"]) > 0.5 for r in rows)
 
+    def test_revealed_labels_missing_a_class(self):
+        # the 3 revealed nodes hold classes 0 and 1 only, while k-means
+        # assigns label 2 elsewhere
+        code, out = run_cli([
+            "synth", "--n", "1000", "--q", "3", "--alpha", "8", "--eta", "0.003",
+            "--seeds", "7814698816243647174", "--kmax", "15", "--method", "both",
+        ])
+        assert code == 0
+        assert [r["method"] for r in rows_of(out)] == ["nblw", "lp"]
+
 
 class TestCluster:
     def test_blobs_sweep_aggregates(self, tmp_path):

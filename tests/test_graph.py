@@ -5,6 +5,7 @@ import pytest
 
 from conftest import chained_unscaled, dedup_reference, lexsort_layout, random_graph, twin
 from nblw import (
+    LabeledDataset,
     MessageState,
     apply_nb,
     apply_nb_transpose,
@@ -17,7 +18,7 @@ from nblw import (
     pool,
     sparsify_knn,
 )
-from nblw.multiclass import _draw_order
+from nblw.multiclass import init_messages_class
 
 
 class TestBuildGraph:
@@ -154,15 +155,16 @@ class TestBuildGraphLayout:
 
     @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
     def test_matches_lexsort_reference(self, n, pairs, weights):
-        """The init draws in the lexsort (src, dst) layout: ``_draw_order``
-        is the inverse of its permutation."""
+        """The init draws in the lexsort (src, dst) layout: with no label
+        revealed, its messages in that order are the rng's draws."""
         g = build_graph(n, pairs, weights)
+        data = LabeledDataset(truth=np.ones(n, dtype=np.int64),
+                              revealed=np.zeros(n, dtype=bool), n=n, q=2)
+        values = init_messages_class(g, data, 0, np.random.default_rng(n)).values
+        draws = 1 - 2 * np.random.default_rng(n).integers(0, 2, size=g.num_half_edges)
         order, _ = lexsort_layout(g)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.shape[0])
-        got = _draw_order(g)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, inverse)
+        assert values.dtype == np.float64
+        assert np.array_equal(values[order], draws)
 
     @pytest.mark.parametrize(
         "n,pairs,weights", [c[1:] for c in DENSE_CASES], ids=[c[0] for c in DENSE_CASES]
