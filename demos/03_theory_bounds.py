@@ -33,10 +33,11 @@ print(f"sampling rate sufficient to improve the labeling: alpha > "
       f"{sufficient_alpha(eta, stats.delta, stats.sigma2):.2f}")
 
 report = theory_report(stats, eta, k)
+limits = report.to_dict()
 print(f"\nratio recursion:    r_0 = {report.r_traj[0]:.4f} -> "
-      f"r_{k + 1} = {report.r_traj[-1]:.4f}  (limit {(stats.tau - 1) / stats.tau:.4f})")
+      f"r_{k + 1} = {report.r_traj[-1]:.4f}  (limit {limits['r_limit']:.4f})")
 print(f"envelope recursion: q_0 = {report.q_traj[0]:.4f} -> "
-      f"q_{k + 1} = {report.q_traj[-1]:.4f}  (limit {2 / 3 * (stats.tau - 1):.4f})")
+      f"q_{k + 1} = {report.q_traj[-1]:.4f}  (limit {limits['q_limit']:.4f})")
 print(f"Cantelli bound on the error: {report.cantelli_bound:.4f}")
 print(f"Chernoff bound on the error: {report.chernoff_bound:.4f} "
       f"(informative: {report.informative})")

@@ -1,10 +1,13 @@
 """Experiment harness and command line.
 
 Subcommands: ``synth`` (model sweeps), ``cluster`` (real or toy data
-sweeps), ``theory`` (bound reports, optionally with a density-evolution
-run), ``bench`` (phase timings).  Results go to a flat CSV; every row
-carries its (seed, alpha, eta, kmax, method, dataset-hash) provenance, so
-re-running a row's tuple reproduces its accuracy exactly.
+sweeps) and ``theory`` (bound reports, optionally with a density-evolution
+run).  Results go to a flat CSV; every row carries its (seed, alpha, eta,
+kmax, method, dataset-hash) provenance, so re-running a row's tuple
+reproduces its accuracy exactly.  The walk rows call the library's
+pipelines, :func:`nblw.binary.run_binary` (q = 2) and
+:func:`nblw.multiclass.run_multiclass` (q > 2); ``--timings`` fills the
+phase columns.
 
 Configuration is a flat JSON object with the same keys as the long CLI
 flags; explicit flags override the config file.  Per-repetition seeds are
@@ -24,9 +27,8 @@ import time
 
 import numpy as np
 
-from .binary import (DEFAULT_KMAX, accuracy, align_to_labels, decide, init_messages,
-                     power_iterate)
-from .graph import center_weights, pool
+from .binary import DEFAULT_KMAX, accuracy, run_binary
+from .graph import center_weights
 from .ingest import load_mnist_subset, read_csv_vectors, subsample_and_weight
 from .label_prop import label_propagation, sparsify_knn
 from .model import (
@@ -40,7 +42,6 @@ from .model import (
 )
 from .multiclass import match_labels, run_multiclass
 from .theory import (
-    CHERNOFF_TAU_THRESHOLD,
     centered_weight,
     check_error_bounds,
     density_evolution,
@@ -119,19 +120,16 @@ def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
 
 
 def _run_nblw(g, data: LabeledDataset, kmax: int, rng):
-    """Walk on a centered-weight graph with phase timings; returns
-    (acc_all, acc_unlabeled, t_iter, t_decide)."""
-    if data.q == 2:
-        t0 = time.perf_counter()
-        state = power_iterate(g, init_messages(g, data, rng), kmax)
-        t1 = time.perf_counter()
-        est = decide(g, align_to_labels(pool(g, state), data), data)
-        t2 = time.perf_counter()
-        return (*_accuracies(est, data), t1 - t0, t2 - t1)
+    """The library pipeline for ``data.q`` on a centered-weight graph;
+    returns (acc_all, acc_unlabeled, t_iter), t_iter timing the whole
+    call (walk, pool and decision, or k-means for q > 2)."""
     t0 = time.perf_counter()
-    result = run_multiclass(g, data, data.q, kmax, rng)
+    if data.q == 2:
+        est, _ = run_binary(g, data, kmax, rng)
+    else:
+        est = run_multiclass(g, data, data.q, kmax, rng).assignments
     t1 = time.perf_counter()
-    return (*_accuracies(result.assignments, data), t1 - t0, 0.0)
+    return (*_accuracies(est, data), t1 - t0)
 
 
 def _run_lp(graph, sims, data: LabeledDataset, knn: int):
@@ -144,23 +142,23 @@ def _run_lp(graph, sims, data: LabeledDataset, knn: int):
     t0 = time.perf_counter()
     est = label_propagation(g, data)
     t1 = time.perf_counter()
-    return (*_accuracies(est, data), t1 - t0, 0.0)
+    return (*_accuracies(est, data), t1 - t0)
 
 
 def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     """One repetition of one method on a centered-weight graph and its raw
-    similarities; returns (acc_all, acc_unlabeled, t_iter, t_decide)."""
+    similarities; returns (acc_all, acc_unlabeled, t_iter)."""
     if method == "nblw":
         return _run_nblw(centered, data, int(opts["kmax"]), np.random.default_rng(algo_seed))
     return _run_lp(centered, sims, data, int(opts["knn"]))
 
 
-def _row(opts, provenance, accs, se, phases) -> dict:
+def _row(opts, provenance, accs, se, t_sample, t_iter) -> dict:
     """One output row from its provenance (dataset .. seed), the two
-    accuracies, the SE and the three phase times; the phase columns stay
+    accuracies, the SE and the phase times; ``phase_decide_s`` is 0, as
+    the decision is timed inside ``phase_iter_s``.  The phase columns stay
     empty without ``timings``."""
-    if not opts["timings"]:
-        phases = ("", "", "")
+    phases = (t_sample, t_iter, 0.0) if opts["timings"] else ("", "", "")
     return dict(zip(CSV_HEADER, (*provenance, *accs, se, *phases)))
 
 
@@ -200,10 +198,9 @@ def cmd_synth(opts) -> list[dict]:
             t_sample = time.perf_counter() - t0
             centered = graph.with_pair_weights(center_weights(sims)) if sims.size else graph
             for method in methods:
-                acc_all, acc_unl, t_iter, t_decide = _run(method, centered, sims, data,
-                                                          opts, algo_seed)
+                acc_all, acc_unl, t_iter = _run(method, centered, sims, data, opts, algo_seed)
                 rows.append(_row(opts, (dataset, method, n, q, alpha, eta, kmax, row_seed),
-                                 (acc_all, acc_unl), "", (t_sample, t_iter, t_decide)))
+                                 (acc_all, acc_unl), "", t_sample, t_iter))
     return rows
 
 
@@ -258,12 +255,11 @@ def cmd_cluster(opts) -> list[dict]:
                 runs[method].append(_run(method, result.graph, result.similarities, data,
                                          opts, algo_seed))
         for method in methods:
-            acc_all, acc_unl, t_it, t_dec = (np.asarray(col) for col in zip(*runs[method]))
+            acc_all, acc_unl, t_it = (np.asarray(col) for col in zip(*runs[method]))
             se = float(acc_all.std(ddof=1) / np.sqrt(reps)) if reps > 1 else ""
             rows.append(_row(opts, (dataset, method, n, q, alpha, eta, kmax, master),
                              (float(acc_all.mean()), float(acc_unl.mean())), se,
-                             (float(np.mean(t_sample_all)), float(t_it.mean()),
-                              float(t_dec.mean()))))
+                             float(np.mean(t_sample_all)), float(t_it.mean())))
     return rows
 
 
@@ -283,9 +279,6 @@ def cmd_theory(opts) -> list[dict]:
         stats = weight_stats(p_in, p_out, w, alpha, rng=rng)
         report = theory_report(stats, eta, kmax)
         row = report.to_dict()
-        tau = stats.tau
-        row["r_limit"] = max(0.0, (tau - 1.0) / tau) if tau > 1 else 0.0
-        row["q_limit"] = (2.0 / 3.0) * (tau - 1.0) if tau > CHERNOFF_TAU_THRESHOLD else 0.0
         row.setdefault("sufficient_alpha", "")
         row.update({"de_error": "", "de_se": "", "cantelli_pass": "", "chernoff_pass": ""})
         if de_pop > 0:
@@ -298,11 +291,6 @@ def cmd_theory(opts) -> list[dict]:
             row["chernoff_pass"] = "" if bc.chernoff_ok is None else bc.chernoff_ok
         rows.append(row)
     return rows
-
-
-def cmd_bench(opts) -> list[dict]:
-    opts = {**opts, "timings": True}
-    return (cmd_synth if opts["dataset"] == "synth" else cmd_cluster)(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,7 @@ DEFAULTS = {
 
 COMMANDS = {
     "synth": (cmd_synth, CSV_HEADER), "cluster": (cmd_cluster, CSV_HEADER),
-    "theory": (cmd_theory, THEORY_HEADER), "bench": (cmd_bench, CSV_HEADER),
+    "theory": (cmd_theory, THEORY_HEADER),
 }
 
 
@@ -376,9 +364,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
             opts[key] = value
             given.add(key)
     # only synth rows are seeded one by one; cluster rows average their reps
-    synth = args.command == "synth" or (args.command == "bench" and opts["dataset"] == "synth")
-    if opts["seeds"] and not synth:
-        raise ValueError("--seeds is read only by synth and by bench --dataset synth")
+    if opts["seeds"] and args.command != "synth":
+        raise ValueError("--seeds is read only by synth")
     if opts["seeds"] and "reps" in given:
         raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
     return opts

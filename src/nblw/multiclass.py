@@ -144,42 +144,60 @@ def run_multiclass(
 # ---------------------------------------------------------------------------
 
 
+# k-means runs this many kmeans++ restarts, each at most this many Lloyd
+# steps, stopping once a step lowers the WCSS by at most this fraction.
+_RESTARTS = 10
+_MAX_ITER = 100
+_TOL = 1e-6
+
+
+def _sq_distances(points, centers):
+    """(n, k) squared distances from the points to the k centers, summed
+    one coordinate at a time, so no (n, k, d) array is made."""
+    d2 = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        d2 += (points[:, j, None] - centers[:, j]) ** 2
+    return d2
+
+
 def _kmeans_pp_centers(points, q, rng):
     n = points.shape[0]
     centers = np.empty((q, points.shape[1]))
     centers[0] = points[rng.integers(0, n)]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    closest = _sq_distances(points, centers[:1])[:, 0]
     for c in range(1, q):
         total = closest.sum()
         if total <= 0:
             centers[c:] = points[rng.integers(0, n, size=q - c)]
             break
         centers[c] = points[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
+        closest = np.minimum(closest, _sq_distances(points, centers[c:c + 1])[:, 0])
     return centers
 
 
-def _lloyd(points, centers, max_iter, tol):
+def _lloyd(points, centers):
+    """Lloyd steps on ``centers`` in place; returns (labels, WCSS).  An
+    empty cluster keeps its center; the caller reports it."""
+    n, q = points.shape[0], centers.shape[0]
     wcss = np.inf
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    for _ in range(_MAX_ITER):
+        d2 = _sq_distances(points, centers)
         labels = d2.argmin(axis=1)
-        new_wcss = float(d2[np.arange(points.shape[0]), labels].sum())
-        for c in range(centers.shape[0]):
-            mask = labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            # empty clusters keep their center; reported by the caller
-        if wcss - new_wcss <= tol * max(new_wcss, 1e-300):
+        new_wcss = float(d2[np.arange(n), labels].sum())
+        counts = np.bincount(labels, minlength=q)
+        filled = counts > 0
+        for j in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, j], minlength=q)
+            centers[filled, j] = sums[filled] / counts[filled]
+        if wcss - new_wcss <= _TOL * max(new_wcss, 1e-300):
             wcss = new_wcss
             break
         wcss = new_wcss
     return labels, wcss
 
 
-def kmeans(points, q: int, rng=None, restarts: int = 10, max_iter: int = 100,
-           tol: float = 1e-6) -> np.ndarray:
-    """Lloyd's algorithm from kmeans++ seeding, best of ``restarts`` by
+def kmeans(points, q: int, rng=None) -> np.ndarray:
+    """Lloyd's algorithm from kmeans++ seeding, best of ``_RESTARTS`` by
     within-cluster sum of squares; deterministic under a fixed rng.
 
     Ending with fewer than q non-empty clusters is possible (e.g. all
@@ -196,9 +214,9 @@ def kmeans(points, q: int, rng=None, restarts: int = 10, max_iter: int = 100,
         rng = np.random.default_rng()
 
     best_labels, best_wcss = None, np.inf
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         centers = _kmeans_pp_centers(points, q, rng)
-        labels, wcss = _lloyd(points, centers, max_iter, tol)
+        labels, wcss = _lloyd(points, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     if np.unique(best_labels).size < q:

@@ -165,14 +165,12 @@ def _analytic_affine_moments(dist, w: AffineWeight):
     return e1, e2
 
 
-def weight_stats(
-    p_in, p_out, w=None, alpha: float = 1.0, n_mc: int = MC_SAMPLES, rng=None
-) -> WeightStats:
+def weight_stats(p_in, p_out, w=None, alpha: float = 1.0, rng=None) -> WeightStats:
     """Compute delta, sigma2, mean and tau for a weighting function.
 
     Affine weightings on distributions with analytic moments are computed
-    exactly; anything else falls back to Monte Carlo with ``n_mc`` draws
-    per distribution and reported standard errors.
+    exactly; anything else falls back to Monte Carlo with ``MC_SAMPLES``
+    draws per distribution and reported standard errors.
     """
     if w is None:
         w = identity_weight()
@@ -187,13 +185,13 @@ def weight_stats(
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        wi = w(p_in.sample(rng, n_mc))
-        wo = w(p_out.sample(rng, n_mc))
+        wi = w(p_in.sample(rng, MC_SAMPLES))
+        wo = w(p_out.sample(rng, MC_SAMPLES))
         e1_in, e1_out = wi.mean(), wo.mean()
         e2_in, e2_out = (wi**2).mean(), (wo**2).mean()
         # SE of delta and of sigma2 from the per-sample variances
-        d_se = 0.5 * math.sqrt(wi.var() / n_mc + wo.var() / n_mc)
-        s_se = 0.5 * math.sqrt((wi**2).var() / n_mc + (wo**2).var() / n_mc)
+        d_se = 0.5 * math.sqrt(wi.var() / MC_SAMPLES + wo.var() / MC_SAMPLES)
+        s_se = 0.5 * math.sqrt((wi**2).var() / MC_SAMPLES + (wo**2).var() / MC_SAMPLES)
 
     delta = 0.5 * (e1_in - e1_out)
     sigma2 = 0.5 * (e2_in + e2_out)
@@ -429,11 +427,11 @@ class TheoryReport:
     chernoff_bound: float
     informative: bool
     envelope_valid: bool
-    a_traj: np.ndarray | None = None
-    b_traj: np.ndarray | None = None
 
-    def to_dict(self, trajectories: bool = False) -> dict:
-        """Flat record for CSV/JSON emission."""
+    def to_dict(self) -> dict:
+        """Flat record for CSV/JSON emission, with the fixed points of both
+        recursions: r_limit = (tau - 1)/tau for tau > 1 and
+        q_limit = (2/3)(tau - 1) above ``CHERNOFF_TAU_THRESHOLD``, else 0."""
         rec = {
             "alpha": self.alpha,
             "eta": self.eta,
@@ -451,18 +449,15 @@ class TheoryReport:
         }
         if self.eta < 1.0 and self.delta > 0:
             rec["sufficient_alpha"] = sufficient_alpha(self.eta, self.delta, self.sigma2)
-        if trajectories:
-            rec["r_traj"] = [float(x) for x in self.r_traj]
-            rec["q_traj"] = [float(x) for x in self.q_traj]
-            if self.a_traj is not None:
-                rec["a_traj"] = [float(x) for x in self.a_traj]
-                rec["b_traj"] = [float(x) for x in self.b_traj]
+        tau = self.tau
+        rec["r_limit"] = max(0.0, (tau - 1.0) / tau) if tau > 1 else 0.0
+        rec["q_limit"] = (2.0 / 3.0) * (tau - 1.0) if tau > CHERNOFF_TAU_THRESHOLD else 0.0
         return rec
 
 
 def theory_report(stats: WeightStats, eta: float, k: int) -> TheoryReport:
-    """Assemble both recursions (and the envelope sequences when their
-    hypotheses hold) into one report.
+    """Assemble both recursions into one report; ``envelope_valid`` says
+    whether the hypotheses of :func:`mgf_envelope_sequences` hold.
 
     A signal-free model (delta <= 0 forces tau = 0) gets the trivial
     Chernoff side: q collapses to 0 and the bound degenerates to 1.
@@ -475,10 +470,7 @@ def theory_report(stats: WeightStats, eta: float, k: int) -> TheoryReport:
     else:
         q = np.concatenate([[2.0 * eta**2], np.zeros(k + 1)])
         chernoff, informative = 1.0, False
-    a = b = None
     envelope_valid = stats.alpha * stats.delta > 1.0 and stats.alpha * stats.sigma2 > 1.0
-    if envelope_valid:
-        a, b, _ = mgf_envelope_sequences(stats.alpha, stats.delta, stats.sigma2, eta, k)
     return TheoryReport(
         alpha=stats.alpha,
         eta=eta,
@@ -493,8 +485,6 @@ def theory_report(stats: WeightStats, eta: float, k: int) -> TheoryReport:
         chernoff_bound=chernoff,
         informative=informative,
         envelope_valid=envelope_valid,
-        a_traj=a,
-        b_traj=b,
     )
 
 

@@ -255,16 +255,21 @@ class TestTheoryCmd:
         assert rec["tau"] == 4.0
 
 
-class TestBench:
+class TestTimings:
     def test_timing_columns_populated(self):
-        code, out = run_cli([
-            "bench", "--dataset", "synth", "--n", "2000", "--alpha", "6",
-            "--reps", "2", "--kmax", "10",
-        ])
-        assert code == 0
-        for row in rows_of(out):
-            assert float(row["phase_iter_s"]) >= 0.0
-            assert float(row["phase_sample_s"]) > 0.0
+        # the whole library call is one phase, so the decision column is 0
+        for q in ("2", "3"):
+            code, out = run_cli([
+                "synth", "--timings", "--method", "both", "--q", q, "--n", "2000",
+                "--alpha", "8", "--reps", "2", "--kmax", "10",
+            ])
+            assert code == 0
+            rows = rows_of(out)
+            assert [r["method"] for r in rows] == ["nblw", "lp"] * 2
+            for row in rows:
+                assert float(row["phase_sample_s"]) > 0.0
+                assert float(row["phase_iter_s"]) > 0.0
+                assert float(row["phase_decide_s"]) == 0.0
 
 
 class TestConfigAndErrors:
@@ -343,17 +348,10 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", [
         ["cluster", "--n", "500", "--seeds", "5,6,7"],
         ["theory", "--alpha", "10", "--seeds", "5"],
-        ["bench", "--dataset", "blobs", "--n", "500", "--seeds", "5"],
     ])
     def test_seeds_rejected_where_unread(self, capsys, argv):
         code = main(argv)
         assert code == 1 and "--seeds" in capsys.readouterr().err
-
-    def test_bench_synth_reads_seeds(self):
-        code, out = run_cli(["bench", "--dataset", "synth", "--n", "500", "--kmax", "3",
-                             "--seeds", "5,6"])
-        assert code == 0
-        assert [r["seed"] for r in rows_of(out)] == ["5", "6"]
 
 
 class TestResourceScaling:

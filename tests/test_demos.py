@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that exercise the walk and LP APIs end to end."""
+"""Smoke runs of the demos that exercise the walk, LP and theory APIs end to end."""
 
 import os
 import pathlib
@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, expect", [
     ("01_operator_basics.py", "sparse == dense matrix product: True"),
+    ("03_theory_bounds.py", "(limit 2.6667)"),
     ("04_blobs_vs_label_propagation.py", "LP @ 10% labels"),
     ("05_multiclass_block_walk.py", "accuracy after label matching"),
 ])

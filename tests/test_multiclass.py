@@ -21,7 +21,7 @@ from nblw import (
     run_binary,
     run_multiclass,
 )
-from nblw.multiclass import _orthonormal_walk
+from nblw.multiclass import _kmeans_pp_centers, _lloyd, _orthonormal_walk
 
 
 class TestInitMessagesClass:
@@ -163,7 +163,67 @@ class TestRunMulticlass:
                 _orthonormal_walk(g, X, 3)
 
 
+def reference_kmeans_pp_centers(points, q, rng):
+    """kmeans++ seeding with whole-row distance sums."""
+    n = points.shape[0]
+    centers = np.empty((q, points.shape[1]))
+    centers[0] = points[rng.integers(0, n)]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, q):
+        total = closest.sum()
+        if total <= 0:
+            centers[c:] = points[rng.integers(0, n, size=q - c)]
+            break
+        centers[c] = points[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def reference_lloyd(points, centers, max_iter=100, tol=1e-6):
+    """Lloyd steps through the full (n, q, d) difference array and a mean
+    per cluster."""
+    wcss = np.inf
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        new_wcss = float(d2[np.arange(points.shape[0]), labels].sum())
+        for c in range(centers.shape[0]):
+            mask = labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+        if wcss - new_wcss <= tol * max(new_wcss, 1e-300):
+            wcss = new_wcss
+            break
+        wcss = new_wcss
+    return labels, wcss
+
+
 class TestKmeans:
+    def test_bit_identical_to_reference(self):
+        """Column-by-column distances and bincount means give the same
+        seeds, labels, centers and WCSS as the whole-array reference, bit
+        for bit, with 2 to 7 columns.  numpy sums pairwise the rows of a
+        1-column cluster and the columns of 8 or more, so there the last
+        bit may differ."""
+        rng = np.random.default_rng(3)
+        empty = 0
+        for trial in range(120):
+            d, q = 2 + trial % 6, int(rng.integers(2, 7))
+            n = int(rng.integers(q, 400))
+            pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+            seed = int(rng.integers(1 << 30))
+            want = reference_kmeans_pp_centers(pts, q, np.random.default_rng(seed))
+            got = _kmeans_pp_centers(pts, q, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+            if trial % 3 == 0:
+                want[-1] = got[-1] = 1e3  # a center no point is closest to
+            want_labels, want_wcss = reference_lloyd(pts, want)
+            got_labels, got_wcss = _lloyd(pts, got)
+            empty += np.unique(want_labels).size < q
+            assert np.array_equal(got_labels, want_labels)
+            assert np.array_equal(got, want) and got_wcss == want_wcss
+        assert empty >= 40
+
     def test_two_separated_groups(self):
         pts = np.concatenate([np.zeros(50), np.full(50, 10.0)])
         labels = kmeans(pts, 2, np.random.default_rng(0))

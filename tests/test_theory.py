@@ -284,8 +284,18 @@ class TestBoundChecks:
             assert q[l + 1] == tau * q[l] / (1 + 1.5 * max(1.0, q[l]))
         rec = report.to_dict()
         assert rec["tau"] == 10.0 and 0 <= rec["cantelli_bound"] <= 1
-        rec_t = report.to_dict(trajectories=True)
-        assert len(rec_t["r_traj"]) == len(r)
+
+    @pytest.mark.parametrize("alpha, r_limit, q_limit", [
+        (10.0, 0.9, 6.0),   # tau 10: both recursions have a positive limit
+        (2.0, 0.5, 0.0),    # tau 2, below the Chernoff threshold 2.5
+        (0.5, 0.0, 0.0),    # tau 1/2, below the detection threshold 1
+    ])
+    def test_report_limits(self, alpha, r_limit, q_limit):
+        stats = weight_stats(PointMass(1.0), PointMass(-1.0), alpha=alpha)
+        rec = theory_report(stats, 0.1, 10).to_dict()
+        assert rec["r_limit"] == pytest.approx(r_limit, abs=1e-15)
+        assert rec["q_limit"] == pytest.approx(q_limit, abs=1e-15)
+        assert list(rec)[-3:] == ["sufficient_alpha", "r_limit", "q_limit"]
 
 
 class TestWeightingProperties:
