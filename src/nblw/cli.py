@@ -9,11 +9,12 @@ pipelines, :func:`nblw.binary.run_binary` (q = 2) and
 :func:`nblw.multiclass.run_multiclass` (q > 2); ``--timings`` fills the
 phase columns.
 
-Configuration is a flat JSON object with the same keys as the long CLI
-flags; explicit flags override the config file.  Per-repetition seeds are
-derived from the master seed with the package-wide seed-splitting rule
-(see :func:`nblw.model.split_seed`); ``synth`` takes ``--seeds`` to pin
-them, one row per seed, in place of ``--reps``.
+Each subcommand reads the options of its table in ``COMMANDS``, as long
+flags or as the keys of a flat JSON config, which the flags override; any
+other option is an error.  Per-repetition seeds are derived from the
+master seed with the package-wide seed-splitting rule (see
+:func:`nblw.model.split_seed`); ``synth`` takes ``--seeds`` to pin them,
+one row per seed, in place of ``--reps``.
 """
 
 from __future__ import annotations
@@ -273,9 +274,12 @@ def cmd_theory(opts) -> list[dict]:
     if opts["weight"] not in weights:
         raise ValueError(f"unknown weight {opts['weight']!r}")
     w = weights[opts["weight"]]()
+    alphas = _float_list(opts["alpha"])
+    # word 0 seeds the density-evolution graphs, word 2 * ai + 1 alpha ai's Monte Carlo
+    words = split_seed(int(opts["seed"]), 2 * len(alphas))
     rows = []
-    for ai, alpha in enumerate(_float_list(opts["alpha"])):
-        rng = np.random.default_rng(split_seed(int(opts["seed"]), 2 * (ai + 1))[-1])
+    for ai, alpha in enumerate(alphas):
+        rng = np.random.default_rng(words[2 * ai + 1])
         stats = weight_stats(p_in, p_out, w, alpha, rng=rng)
         report = theory_report(stats, eta, kmax)
         row = report.to_dict()
@@ -283,7 +287,7 @@ def cmd_theory(opts) -> list[dict]:
         row.update({"de_error": "", "de_se": "", "cantelli_pass": "", "chernoff_pass": ""})
         if de_pop > 0:
             spec = ModelSpec(n=max(int(alpha) + 1, 10**5), q=2, alpha=alpha, eta=eta,
-                             p_in=p_in, p_out=p_out, seed=split_seed(int(opts["seed"]), 1)[0])
+                             p_in=p_in, p_out=p_out, seed=words[0])
             de = density_evolution(spec, w, kmax, pop=de_pop)
             bc = check_error_bounds(report, de.error, de.error_se)
             row["de_error"], row["de_se"] = de.error, de.error_se
@@ -297,21 +301,23 @@ def cmd_theory(opts) -> list[dict]:
 # option handling and entry point
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "n": 10000, "q": 2, "alpha": "5", "eta": "0.1", "kmax": DEFAULT_KMAX,
-    "reps": 1, "method": "nblw", "seed": 0, "seeds": "", "out": "-",
-    "p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1",
-    "dataset": "blobs", "metric": "euclidean", "knn": 3,
-    "blob_centers": "-3:0;3:0", "blob_sigma": 1.0, "data_seed": 0,
-    "digits": "0,1", "mnist_images": "", "mnist_labels": "",
-    "path": "", "header": False,
-    "weight": "center", "de_pop": 0, "timings": False, "json": False,
+# options read by both sweeps, and the similarity laws of the model
+_SWEEP = {
+    "n": 10000, "alpha": "5", "eta": "0.1", "kmax": DEFAULT_KMAX, "reps": 1,
+    "method": "nblw", "seed": 0, "out": "-", "knn": 3, "timings": False, "json": False,
 }
+_LAWS = {"p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1"}
 
-
+# name -> (command, CSV header, the options it reads with their defaults)
 COMMANDS = {
-    "synth": (cmd_synth, CSV_HEADER), "cluster": (cmd_cluster, CSV_HEADER),
-    "theory": (cmd_theory, THEORY_HEADER),
+    "synth": (cmd_synth, CSV_HEADER, {**_SWEEP, "q": 2, "seeds": "", **_LAWS}),
+    "cluster": (cmd_cluster, CSV_HEADER, {
+        **_SWEEP, "dataset": "blobs", "metric": "euclidean",
+        "blob_centers": "-3:0;3:0", "blob_sigma": 1.0, "data_seed": 0,
+        "digits": "0,1", "mnist_images": "", "mnist_labels": "", "path": "", "header": False}),
+    "theory": (cmd_theory, THEORY_HEADER, {
+        **{k: _SWEEP[k] for k in ("alpha", "eta", "kmax", "seed", "out", "json")},
+        **_LAWS, "weight": "center", "de_pop": 0}),
 }
 
 
@@ -321,10 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="clustering from subsampled pairwise similarities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, _, table) in COMMANDS.items():
+        # no prefixes: with fewer flags, more of them would match one silently
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="JSON file of option defaults")
-        for key, default in DEFAULTS.items():
+        for key, default in table.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, action="store_const", const=True, default=None)
@@ -333,40 +340,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config(loaded) -> dict:
-    """Validate a loaded config: known keys, JSON true/false for switches,
-    a number or a string for every other key.  Numbers given for keys
-    that take text are read as their text, as a flag would give them."""
+def _check_config(loaded, table: dict) -> dict:
+    """Validate a loaded config: the table's keys, JSON true/false for
+    switches, a number or a string for every other key.  Numbers given for
+    keys that take text are read as their text, as a flag would give them."""
     if not isinstance(loaded, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(loaded) - set(DEFAULTS)
+    unknown = set(loaded) - set(table)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in loaded.items():
-        switch = isinstance(DEFAULTS[key], bool)
+        switch = isinstance(table[key], bool)
         if switch != isinstance(value, bool) or not isinstance(value, (int, float, str)):
             kind = "true or false" if switch else "a number or a string"
             raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
-    return {k: str(v) if isinstance(DEFAULTS[k], str) else v for k, v in loaded.items()}
+    return {k: str(v) if isinstance(table[k], str) else v for k, v in loaded.items()}
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    opts = dict(DEFAULTS)
+def _merge_options(args: argparse.Namespace, table: dict) -> dict:
+    opts = dict(table)
     given = set()
     if args.config:
         with open(args.config) as fh:
-            loaded = _check_config(json.load(fh))
+            loaded = _check_config(json.load(fh), table)
         opts.update(loaded)
         given.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for key in table:
+        value = getattr(args, key)
         if value is not None:
             opts[key] = value
             given.add(key)
-    # only synth rows are seeded one by one; cluster rows average their reps
-    if opts["seeds"] and args.command != "synth":
-        raise ValueError("--seeds is read only by synth")
-    if opts["seeds"] and "reps" in given:
+    if opts.get("seeds") and "reps" in given:
         raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
     return opts
 
@@ -388,10 +392,12 @@ def _write_rows(rows: list[dict], header: list[str], out: str, as_json: bool):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
     try:
-        opts = _merge_options(args)
-        command, header = COMMANDS[args.command]
+        if unread:
+            raise ValueError(f"{args.command} does not read {unread[0].split('=')[0]}")
+        command, header, table = COMMANDS[args.command]
+        opts = _merge_options(args, table)
         _write_rows(command(opts), header, opts["out"], bool(opts["json"]))
     except (ValueError, OSError) as exc:
         print(f"nblw: error: {exc}", file=sys.stderr)

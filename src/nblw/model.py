@@ -240,10 +240,6 @@ class LabeledDataset:
         if not set(np.unique(self.truth)).issubset(allowed):
             raise ValueError("labels out of range for q")
 
-    @property
-    def revealed_count(self) -> int:
-        return int(self.revealed.sum())
-
     def class_indices(self) -> np.ndarray:
         """Labels as 0..q-1 (for q == 2, +1 -> 0 and -1 -> 1)."""
         if self.q == 2:
@@ -310,31 +306,18 @@ def draw_er_pairs(n: int, alpha: float, rng) -> np.ndarray:
         pos = np.cumsum(gaps) + last
         positions.append(pos)
         last = int(pos[-1])
-    pos = np.concatenate(positions)
-    pos = pos[pos < total]
+    t = np.concatenate(positions)
+    t = t[t < total]
 
-    # Invert the lexicographic index: f(i) = i*(2n - i - 1)/2 is the number
-    # of pairs whose first element is < i.
-    t = pos.astype(np.int64)
-    two_n1 = 2 * n - 1
-    i = ((two_n1 - np.sqrt(np.float64(two_n1) ** 2 - 8.0 * t)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-
-    def f(k):
-        return k * (two_n1 - k) // 2
-
-    # float sqrt can land a step off near block boundaries
-    while True:
-        too_big = f(i) > t
-        if not too_big.any():
-            break
-        i[too_big] -= 1
-    while True:
-        too_small = f(i + 1) <= t
-        if not too_small.any():
-            break
-        i[too_small] += 1
-    j = i + 1 + (t - f(i))
+    # Invert the lexicographic index: row i starts at rank first[i] =
+    # i*(2n-i-1)/2, that of (i, i + 1), and rank t in it is pair
+    # (i, t - (first[i] - i - 1)), made with one m-sized temporary: more of
+    # them fragmented the heap and raised the peak RSS of later steps.
+    rows = np.arange(n - 1, dtype=np.int64)
+    first = rows * (2 * n - 1 - rows) // 2
+    counts = np.diff(np.searchsorted(t, first), append=t.size)
+    i = np.repeat(rows, counts)
+    j = t - np.repeat(first - rows - 1, counts)
     return np.column_stack([i, j])
 
 

@@ -42,6 +42,24 @@ class EmptyClusterWarning(UserWarning):
     """k-means ended with fewer than q non-empty clusters."""
 
 
+def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.ndarray:
+    """The one-vs-rest initializations of ``classes``, one row each, drawn from
+    ``rng`` in turn; the draw order and the revealed sources serve all rows."""
+    order = np.argsort(g.src * np.int64(g.n) + g.dst)
+    from_revealed = data.revealed[g.src]
+    src_cls = data.class_indices()[g.src[from_revealed]]
+    X = np.empty((len(classes), g.num_half_edges))
+    for row, c in zip(X, classes):
+        if not 0 <= c < data.q:
+            raise ValueError(f"class index {c} out of range for q={data.q}")
+        # 1 - 2 * draw, made in place to keep one 2m temporary fewer
+        row[order] = rng.integers(0, 2, size=g.num_half_edges)
+        row *= -2.0
+        row += 1.0
+        row[from_revealed] = np.where(src_cls == c, 1.0, -1.0)
+    return X
+
+
 def init_messages_class(
     g: WeightedGraph, data: LabeledDataset, c: int, rng
 ) -> MessageState:
@@ -50,15 +68,7 @@ def init_messages_class(
     in (src, dst) order whatever the graph's half-edge order.  That order
     is one argsort of the keys src * n + dst, which are distinct because
     the pairs are deduplicated and hold no self-loop."""
-    if not 0 <= c < data.q:
-        raise ValueError(f"class index {c} out of range for q={data.q}")
-    values = np.empty(g.num_half_edges)
-    values[np.argsort(g.src * np.int64(g.n) + g.dst)] = (
-        1 - 2 * rng.integers(0, 2, size=g.num_half_edges))
-    cls = data.class_indices()
-    from_revealed = data.revealed[g.src]
-    values[from_revealed] = np.where(cls[g.src[from_revealed]] == c, 1.0, -1.0)
-    return MessageState(values)
+    return MessageState(_one_vs_rest(g, data, [c], rng)[0])
 
 
 @dataclass
@@ -121,9 +131,7 @@ def run_multiclass(
     if rng is None:
         rng = np.random.default_rng()
 
-    X = np.empty((q - 1, g.num_half_edges))
-    for c in range(q - 1):
-        X[c] = init_messages_class(g, data, c, rng).values
+    X = _one_vs_rest(g, data, range(q - 1), rng)
     log_scales = _orthonormal_walk(g, X, k_max)
 
     xbx = np.array([x @ nb_multiply(g, x) for x in X])

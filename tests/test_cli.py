@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import pathlib
+import re
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -352,6 +353,60 @@ class TestConfigAndErrors:
     def test_seeds_rejected_where_unread(self, capsys, argv):
         code = main(argv)
         assert code == 1 and "--seeds" in capsys.readouterr().err
+
+
+# the options each subcommand reads (15, 21 and 10 of 27); the other 35
+# (subcommand, option) pairs are refused, 33 of which were once ignored
+READS = {
+    "synth": {"n", "q", "alpha", "eta", "kmax", "reps", "method", "seed", "seeds", "out",
+              "p_in", "p_out", "knn", "timings", "json"},
+    "cluster": {"n", "alpha", "eta", "kmax", "reps", "method", "seed", "out", "knn",
+                "timings", "json", "dataset", "metric", "blob_centers", "blob_sigma",
+                "data_seed", "digits", "mnist_images", "mnist_labels", "path", "header"},
+    "theory": {"alpha", "eta", "kmax", "seed", "out", "json", "p_in", "p_out", "weight",
+               "de_pop"},
+}
+SWITCHES = {"timings", "json", "header"}
+UNREAD = [(cmd, key) for cmd in READS
+          for key in sorted(set().union(*READS.values()) - READS[cmd])]
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_unread_flag_is_one_line_error(self, capsys, command, key):
+        flag = "--" + key.replace("_", "-")
+        code = main([command, flag] + ([] if key in SWITCHES else ["3"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"nblw: error: {command} does not read {flag}\n"
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_unread_config_key_is_one_line_error(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True if key in SWITCHES else "3"}))
+        code = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("nblw: error: unknown config keys")
+        assert repr(key) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_table(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config"} | {
+            "--" + key.replace("_", "-") for key in READS[command]}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--kmx=3"], "--kmx"),
+        (["cluster", "--p", "x"], "--p"),      # a prefix of --path only
+        (["theory", "--de", "5"], "--de"),     # a prefix of --de-pop only
+    ])
+    def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"nblw: error: {argv[0]} does not read {flag}\n"
 
 
 class TestResourceScaling:

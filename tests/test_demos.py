@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, expect", [
     ("01_operator_basics.py", "sparse == dense matrix product: True"),
+    ("02_synthetic_clustering.py", "nblw synth --n 20000"),
     ("03_theory_bounds.py", "(limit 2.6667)"),
     ("04_blobs_vs_label_propagation.py", "LP @ 10% labels"),
     ("05_multiclass_block_walk.py", "accuracy after label matching"),

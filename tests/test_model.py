@@ -1,5 +1,7 @@
 """Generator contracts: cardinalities, concentration, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -84,6 +86,10 @@ class TestDrawErPairs:
         assert np.all(pairs[:, 0] < pairs[:, 1])
         keys = pairs[:, 0] * 500 + pairs[:, 1]
         assert np.all(np.diff(keys) > 0)  # lexicographic order, no duplicates
+        # alpha just below n makes every gap 1: the complete graph, row by row
+        for n in range(2, 61):
+            pairs = draw_er_pairs(n, np.nextafter(n, 0.0), np.random.default_rng(n))
+            assert pairs.tolist() == [list(p) for p in itertools.combinations(range(n), 2)]
 
     def test_matches_bernoulli_law_small_n(self):
         """Inclusion frequency of a fixed pair matches alpha/n."""

@@ -91,6 +91,17 @@ class TestRunMulticlass:
         for c in range(2):
             init = np.where(cls[g.src] == c, 1.0, -1.0)
             assert np.allclose(res.embedding[:, c], pool(g, MessageState(init)))
+        # with labels partly hidden, the block's rows are the per-class
+        # initializations drawn in turn from the same rng
+        spec = ModelSpec(n=600, q=4, alpha=6.0, eta=0.1,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=13)
+        g, sims, data = make_instance(spec)
+        g = g.with_pair_weights(center_weights(sims))
+        res = run_multiclass(g, data, 4, 0, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for c in range(3):
+            init = init_messages_class(g, data, c, rng)
+            assert np.array_equal(res.embedding[:, c], pool(g, init))
 
     def test_rayleigh_ordering_with_spectral_gap(self):
         """On a model whose common mode dominates the class mode, row 0 of
