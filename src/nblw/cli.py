@@ -11,8 +11,9 @@ phase columns.
 
 Each subcommand reads the options of its table in ``COMMANDS``, as long
 flags or as the keys of a flat JSON config, which the flags override; any
-other option is an error.  Per-repetition seeds are derived from the
-master seed with the package-wide seed-splitting rule (see
+other option is an error, and so is an option that only another
+``cluster --dataset`` kind reads.  Per-repetition seeds are derived from
+the master seed with the package-wide seed-splitting rule (see
 :func:`nblw.model.split_seed`); ``synth`` takes ``--seeds`` to pin them,
 one row per seed, in place of ``--reps``.
 """
@@ -308,6 +309,13 @@ _SWEEP = {
 }
 _LAWS = {"p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1"}
 
+# the options that only one --dataset kind of cluster reads
+_DATASET_OPTIONS = {
+    "blobs": {"n", "blob_centers", "blob_sigma", "data_seed"},
+    "mnist": {"digits", "mnist_images", "mnist_labels"},
+    "csv": {"path", "header"},
+}
+
 # name -> (command, CSV header, the options it reads with their defaults)
 COMMANDS = {
     "synth": (cmd_synth, CSV_HEADER, {**_SWEEP, "q": 2, "seeds": "", **_LAWS}),
@@ -321,8 +329,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError instead of printing the usage and exiting 2, so
+    that a malformed command line is one ``nblw: error:`` line, exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nblw",
         description="clustering from subsampled pairwise similarities",
     )
@@ -372,6 +388,12 @@ def _merge_options(args: argparse.Namespace, table: dict) -> dict:
             given.add(key)
     if opts.get("seeds") and "reps" in given:
         raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
+    kind = opts.get("dataset")
+    if kind in _DATASET_OPTIONS:
+        foreign = given & set().union(*_DATASET_OPTIONS.values()) - _DATASET_OPTIONS[kind]
+        if foreign:
+            flag = "--" + min(foreign).replace("_", "-")
+            raise ValueError(f"cluster --dataset {kind} does not read {flag}")
     return opts
 
 
@@ -392,8 +414,8 @@ def _write_rows(rows: list[dict], header: list[str], out: str, as_json: bool):
 
 
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
     try:
+        args, unread = _build_parser().parse_known_args(argv)
         if unread:
             raise ValueError(f"{args.command} does not read {unread[0].split('=')[0]}")
         command, header, table = COMMANDS[args.command]

@@ -1,13 +1,15 @@
 """Sparse weighted similarity graphs stored as directed half-edges.
 
-The m deduplicated undirected pairs, in first-occurrence input order, are
-the graph.  Half-edge p is ``pairs[p, 0] -> pairs[p, 1]`` and half-edge
+The m deduplicated undirected pairs (lo, hi), lo < hi, sorted by the key
+lo * n + hi, are the graph.  Half-edge p is ``lo_p -> hi_p`` and half-edge
 m + p is its reverse, so the twin of half-edge e is (e + m) mod 2m and
-swapping the two halves of a message vector reverses every message.  One
-application of the non-backtracking operator costs O(half_edges): the
-weighted sum of incoming messages is accumulated once per node and the
-single backtracking term, read from the other half, is subtracted per
-half-edge, instead of re-scanning each neighborhood per edge.
+swapping the two halves of a message vector reverses every message.  The
+layout depends only on the set of pairs, not on their input order or
+orientation, and per-pair arrays line up with ``pairs`` in key order.
+One application of the non-backtracking operator costs O(half_edges):
+the weighted sum of incoming messages is accumulated once per node and
+the single backtracking term, read from the other half, is subtracted
+per half-edge, instead of re-scanning each neighborhood per edge.
 
 Messages (one real value per half-edge) are carried in a
 :class:`MessageState`, which also accumulates the logarithm of the
@@ -50,15 +52,13 @@ class WeightedGraph:
     n : int
         Number of nodes.
     src, dst : int64 arrays, shape (2m,)
-        Endpoints of each half-edge: ``concat(pairs[:, 0], pairs[:, 1])``
-        and ``concat(pairs[:, 1], pairs[:, 0])``.  Half-edge p (p < m) is
-        ``pairs[p, 0] -> pairs[p, 1]`` and half-edge m + p its reverse: the
+        Endpoints of each half-edge: ``concat(lo, hi)`` and
+        ``concat(hi, lo)`` over the pairs (lo, hi) in key order.  Half-edge
+        p (p < m) is ``lo_p -> hi_p`` and half-edge m + p its reverse: the
         twin of half-edge e is (e + m) mod 2m.
     weight : float64 array, shape (2m,)
         Weight per half-edge, the pair weights twice over:
         ``weight[e] == weight[(e + m) % (2 * m)]``.
-    pairs : int64 array, shape (m, 2)
-        Accepted undirected pairs, in first-occurrence input order.
     duplicates_dropped : int
         Number of duplicate input pairs silently discarded at build time.
     """
@@ -67,7 +67,6 @@ class WeightedGraph:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    pairs: np.ndarray
     duplicates_dropped: int = 0
 
     @property
@@ -76,19 +75,27 @@ class WeightedGraph:
 
     @property
     def num_pairs(self) -> int:
-        return self.pairs.shape[0]
+        return self.src.shape[0] // 2
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The (m, 2) int64 pairs (lo, hi), lo < hi, in key order: a new
+        array made from the first halves of ``src`` and ``dst``."""
+        m = self.num_pairs
+        return np.column_stack([self.src[:m], self.dst[:m]])
 
     def degrees(self) -> np.ndarray:
         """Out-degree (= undirected degree) per node."""
         return np.bincount(self.src, minlength=self.n)
 
     def pair_weights(self) -> np.ndarray:
-        """Weight per undirected pair, aligned with ``pairs`` (a view of
-        the first half of ``weight``)."""
+        """Weight per undirected pair, aligned with ``pairs`` in key order
+        (a view of the first half of ``weight``)."""
         return self.weight[: self.num_pairs]
 
     def with_pair_weights(self, pair_weights) -> "WeightedGraph":
-        """Same topology with new per-pair weights (O(2m))."""
+        """Same topology with new per-pair weights, aligned with ``pairs``
+        in key order (O(2m))."""
         pw = np.asarray(pair_weights, dtype=np.float64)
         if pw.shape != (self.num_pairs,):
             raise ValueError(
@@ -136,12 +143,15 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
     """Build a half-edge graph from undirected pairs and one weight each.
 
     Self-loops are rejected.  Duplicate pairs (in either orientation) are
-    deduplicated keeping the first occurrence; the count of dropped pairs
-    is recorded on the graph.  The survivors keep their input order and
-    orientation, so caller-side per-pair arrays stay aligned.
+    deduplicated keeping the first occurrence's weight; the count of
+    dropped pairs is recorded on the graph.  The survivors are stored in
+    canonical order: (lo, hi) with lo < hi, sorted by the key lo * n + hi.
+    So the graph, and every walk on it, is the same for any order or
+    orientation of the input pairs.  The in-repo samplers emit canonical
+    pairs, so their per-pair arrays stay aligned; other callers read
+    per-pair values back through :meth:`WeightedGraph.pair_weights`.
 
-    Cost: one stable sort of the m canonical (lo, hi) keys, and O(m)
-    copying.
+    Cost: one stable sort of the m keys, and O(m) copying.
 
     Parameters
     ----------
@@ -168,32 +178,37 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-loops are not allowed")
 
-    # Dedup on the canonical (lo, hi) key.  The stable sort puts each key's
-    # first input occurrence first in its run.
-    a, b = pairs[:, 0], pairs[:, 1]
-    key = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+    # The stable sort of the keys lo * n + hi is the canonical order, with
+    # each key's first input occurrence first in its run.
+    key = np.minimum(pairs[:, 0], pairs[:, 1])
+    key *= n
+    key += np.maximum(pairs[:, 0], pairs[:, 1])
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.empty(key.shape[0], dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    del key
-    dropped = pairs.shape[0] - int(first.sum())
-    if dropped:
-        survivor = np.zeros(pairs.shape[0], dtype=bool)
-        survivor[order[first]] = True
-        pairs = pairs[survivor]
-        weights = weights[survivor]
-    del order, first
+    m = int(first.sum())
+    if m < key.shape[0]:
+        key, order = key[first], order[first]
+    del first
 
-    return WeightedGraph(
-        n=n,
-        src=np.concatenate([pairs[:, 0], pairs[:, 1]]),
-        dst=np.concatenate([pairs[:, 1], pairs[:, 0]]),
-        weight=np.concatenate([weights, weights]),
-        pairs=pairs,
-        duplicates_dropped=dropped,
-    )
+    # Gather the weights and decode (lo, hi) into the first halves.  Freeing
+    # ``order`` first lets src and dst reuse its pages; "clip" (order is in
+    # range) spares np.take a buffered copy; floor_divide and a subtraction
+    # take a third of np.divmod's time.
+    weight = np.empty(2 * m)
+    np.take(weights, order, out=weight[:m], mode="clip")
+    del order
+    weight[m:] = weight[:m]
+    src, dst = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
+    np.floor_divide(key, n, out=src[:m])
+    np.multiply(src[:m], n, out=src[m:])  # scratch until it gets hi below
+    np.subtract(key, src[m:], out=dst[:m])
+    del key
+    src[m:], dst[m:] = dst[:m], src[:m]
+    return WeightedGraph(n=n, src=src, dst=dst, weight=weight,
+                         duplicates_dropped=pairs.shape[0] - m)
 
 
 def center_weights(similarities) -> np.ndarray:
@@ -220,9 +235,9 @@ def _check_size(g: WeightedGraph, x: np.ndarray):
 
 def _sum_into(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     """Per node, the sum of ``values`` over its incoming half-edges in
-    half-edge order: increasing source order for pairs (lo, hi) listed in
-    key order, as the samplers emit them.  float64 also for an empty graph,
-    where ``bincount`` returns int64 zeros."""
+    half-edge order, which for pairs in key order is increasing source
+    order, as in a CSR layout.  float64 also for an empty graph, where
+    ``bincount`` returns int64 zeros."""
     return np.bincount(g.dst, weights=values, minlength=g.n).astype(np.float64, copy=False)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .graph import build_graph
 
@@ -71,6 +70,8 @@ class Gaussian:
         )
 
     def mass_interval(self, eps=1e-8):
+        from scipy.special import ndtri
+
         z = float(ndtri(1 - eps / 2))
         sd = math.sqrt(self.var)
         return (self.mu - z * sd, self.mu + z * sd)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import MessageState, WeightedGraph, nb_multiply, pool
 from .model import LabeledDataset
@@ -44,8 +43,7 @@ class EmptyClusterWarning(UserWarning):
 
 def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.ndarray:
     """The one-vs-rest initializations of ``classes``, one row each, drawn from
-    ``rng`` in turn; the draw order and the revealed sources serve all rows."""
-    order = np.argsort(g.src * np.int64(g.n) + g.dst)
+    ``rng`` in turn in half-edge order; the revealed sources serve all rows."""
     from_revealed = data.revealed[g.src]
     src_cls = data.class_indices()[g.src[from_revealed]]
     X = np.empty((len(classes), g.num_half_edges))
@@ -53,8 +51,7 @@ def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.nda
         if not 0 <= c < data.q:
             raise ValueError(f"class index {c} out of range for q={data.q}")
         # 1 - 2 * draw, made in place to keep one 2m temporary fewer
-        row[order] = rng.integers(0, 2, size=g.num_half_edges)
-        row *= -2.0
+        np.multiply(rng.integers(0, 2, size=g.num_half_edges), -2.0, out=row)
         row += 1.0
         row[from_revealed] = np.where(src_cls == c, 1.0, -1.0)
     return X
@@ -65,9 +62,8 @@ def init_messages_class(
 ) -> MessageState:
     """One-vs-rest initialization: out-edges of revealed class-c nodes get
     +1, out-edges of other revealed nodes -1, the rest i.i.d. +-1, drawn
-    in (src, dst) order whatever the graph's half-edge order.  That order
-    is one argsort of the keys src * n + dst, which are distinct because
-    the pairs are deduplicated and hold no self-loop."""
+    in half-edge order.  :func:`~nblw.graph.build_graph` stores the pairs
+    in key order, so the draws do not depend on the input pair order."""
     return MessageState(_one_vs_rest(g, data, [c], rng)[0])
 
 
@@ -257,6 +253,8 @@ def match_labels(est, truth):
             if hits > best_hits:
                 best_perm, best_hits = perm, hits
     else:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(confusion, maximize=True)
         perm = np.empty(q, dtype=np.int64)
         perm[rows] = cols

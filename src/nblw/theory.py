@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import ModelSpec
 
@@ -289,6 +288,8 @@ def tau_optimal(alpha: float, p_in, p_out) -> float:
     The integration window covers all but 1e-8 of both masses; the
     integrand is taken as 0 where both densities vanish.
     """
+    from scipy.integrate import quad
+
     w = OptimalWeight(p_in, p_out)  # validates densities exist
 
     def integrand(s):

@@ -30,14 +30,15 @@ def random_graph(rng, n, p=0.4, w_low=-1.0, w_high=1.0):
 
 
 def dedup_reference(n, pairs, weights):
-    """Reference dedup: the first occurrence of every pair, in input order,
-    and the number of dropped duplicates."""
+    """Reference dedup: every distinct pair once, as (lo, hi) with lo < hi
+    in key order lo * n + hi, with its first occurrence's weight, and the
+    number of dropped duplicates."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
-    first.sort()
-    return pairs[first], weights[first], len(lo) - first.shape[0]
+    kept = np.column_stack([lo[first], hi[first]])
+    return kept, weights[first], len(lo) - first.shape[0]
 
 
 def lexsort_layout(g: WeightedGraph):

@@ -111,8 +111,8 @@ class TestRunBinary:
         assert np.array_equal(a[0], b[0]) and np.allclose(a[1], b[1])
 
     def test_pair_order_does_not_change_the_walk(self):
-        """The initial draws follow (src, dst) order, so shuffling and
-        flipping the pair list changes the result only by rounding."""
+        """The graph stores its pairs in key order, so shuffling and
+        flipping the pair list changes nothing, not even the rounding."""
         g, _, data, _ = small_instance(seed=8, p_in=Gaussian(0.5, 1),
                                        p_out=Gaussian(-0.5, 1))
         rng = np.random.default_rng(9)
@@ -121,9 +121,11 @@ class TestRunBinary:
         flip = rng.random(g.num_pairs) < 0.5
         pairs[flip] = pairs[flip, ::-1]
         shuffled = build_graph(g.n, pairs, g.pair_weights()[perm])
+        for field in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(shuffled, field), getattr(g, field)), field
         a, pa = run_binary(g, data, 10, np.random.default_rng(4))
         b, pb = run_binary(shuffled, data, 10, np.random.default_rng(4))
-        assert np.allclose(pa, pb, rtol=1e-12, atol=1e-12 * np.abs(pa).max())
+        assert np.array_equal(pa, pb)
         assert np.array_equal(a, b)
 
     def test_isolated_node_policy(self):
@@ -177,7 +179,7 @@ class TestRunBinary:
         # ties stay +1; the revealed isolated node 2 keeps its label
         assert list(decide(g, aligned, data)) == [1, -1, 1, 1]
 
-    @pytest.mark.parametrize("graph, walk_seed", [(0, 14), (1, 20)])
+    @pytest.mark.parametrize("graph, walk_seed", [(0, 5), (1, 15)])
     def test_mirror_labelling_is_negated(self, graph, walk_seed):
         """Acceptance criterion 9's blobs from 1 % labels: with these walk
         seeds the pooled signs give the mirror labelling (accuracy about

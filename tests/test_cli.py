@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -367,6 +370,12 @@ READS = {
                "de_pop"},
 }
 SWITCHES = {"timings", "json", "header"}
+# argparse's own messages, which the CLI prints as its one error line
+PARSE_ERRORS = {
+    "--n": "argument --n: expected one argument",
+    "--alpha": "argument --alpha: expected one argument",
+    "command": "the following arguments are required: command",
+}
 UNREAD = [(cmd, key) for cmd in READS
           for key in sorted(set().union(*READS.values()) - READS[cmd])]
 
@@ -403,10 +412,28 @@ class TestOptionTables:
         (["synth", "--kmx=3"], "--kmx"),
         (["cluster", "--p", "x"], "--p"),      # a prefix of --path only
         (["theory", "--de", "5"], "--de"),     # a prefix of --de-pop only
+        (["synth", "--n"], "--n"),             # a flag without its value
+        (["theory", "--alpha"], "--alpha"),
+        ([], "command"),                       # no subcommand
     ])
     def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"nblw: error: {argv[0]} does not read {flag}\n"
+        want = PARSE_ERRORS.get(flag) or f"{argv[0]} does not read {flag}"
+        assert capsys.readouterr().err == f"nblw: error: {want}\n"
+
+    @pytest.mark.parametrize("kind, key", [
+        ("blobs", "path"), ("mnist", "blob_sigma"), ("csv", "digits"),
+    ])
+    def test_option_of_another_dataset_kind_is_one_line_error(self, tmp_path, capsys,
+                                                              kind, key):
+        flag = "--" + key.replace("_", "-")
+        want = f"nblw: error: cluster --dataset {kind} does not read {flag}\n"
+        assert main(["cluster", "--dataset", kind, flag, "3"]) == 1
+        assert capsys.readouterr().err == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": kind, key: "3"}))
+        assert main(["cluster", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == want
 
 
 class TestResourceScaling:
@@ -476,3 +503,17 @@ class TestResourceScaling:
         fit = np.polyval(coef, x)
         r2 = 1 - ((y - fit) ** 2).sum() / ((y - y.mean()) ** 2).sum()
         assert coef[0] > 0 and r2 > 0.95
+
+
+def test_import_loads_no_scipy():
+    """The three functions that use scipy import it on first call, so
+    importing the package or the CLI loads none of it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, nblw, nblw.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

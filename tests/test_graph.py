@@ -133,8 +133,8 @@ DENSE_CASES = [c for c in LAYOUT_CASES if len(c[2]) <= 2000]
 
 
 class TestBuildGraphLayout:
-    """Half-edge p is pairs[p, 0] -> pairs[p, 1] and m + p its reverse, over
-    the first occurrences of the input pairs in input order."""
+    """Half-edge p is lo_p -> hi_p and m + p its reverse, over the distinct
+    pairs (lo, hi), lo < hi, in key order lo * n + hi."""
 
     @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
     def test_pair_major_layout(self, n, pairs, weights):
@@ -152,17 +152,28 @@ class TestBuildGraphLayout:
             assert got.dtype == value.dtype, field
             assert np.array_equal(got, value), field
         assert np.array_equal(g.pair_weights(), kept_w)
+        # the distinct pairs in any order and orientation give the same graph
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(kept.shape[0])
+        moved = kept[perm]
+        flip = rng.random(kept.shape[0]) < 0.5
+        moved[flip] = moved[flip, ::-1]
+        again = build_graph(n, moved, kept_w[perm])
+        for field in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(again, field), getattr(g, field)), field
 
     @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
     def test_matches_lexsort_reference(self, n, pairs, weights):
-        """The init draws in the lexsort (src, dst) layout: with no label
-        revealed, its messages in that order are the rng's draws."""
+        """The init draws in half-edge order, which is the lexsort order of
+        (direction, lo, hi): with no label revealed, its messages in that
+        order are the rng's draws."""
         g = build_graph(n, pairs, weights)
         data = LabeledDataset(truth=np.ones(n, dtype=np.int64),
                               revealed=np.zeros(n, dtype=bool), n=n, q=2)
         values = init_messages_class(g, data, 0, np.random.default_rng(n)).values
         draws = 1 - 2 * np.random.default_rng(n).integers(0, 2, size=g.num_half_edges)
-        order, _ = lexsort_layout(g)
+        lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
+        order = np.lexsort((hi, lo, g.src > g.dst))
         assert values.dtype == np.float64
         assert np.array_equal(values[order], draws)
 
@@ -178,11 +189,10 @@ class TestBuildGraphLayout:
                           (pool(g, MessageState(x)), incidence @ x)):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["er-2e4", "sparsify-knn"])
-    def test_key_ordered_pairs_bit_identical_to_csr(self, name):
-        """On pairs in (lo, hi) key order with lo < hi, as the samplers emit
-        them, each node's terms are added in the CSR order."""
-        n, pairs, weights = LAYOUT_ARGS[LAYOUT_IDS.index(name)]
+    @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
+    def test_key_ordered_pairs_bit_identical_to_csr(self, n, pairs, weights):
+        """The pairs are stored as (lo, hi), lo < hi, in key order, so each
+        node's terms are added in the CSR order."""
         g = build_graph(n, pairs, weights)
         key = g.pairs[:, 0] * np.int64(n) + g.pairs[:, 1]
         assert np.all(g.pairs[:, 0] < g.pairs[:, 1]) and np.all(np.diff(key) > 0)
