@@ -46,7 +46,6 @@ from .theory import (
     BoundCheck,
     DensityEvolutionResult,
     FunctionWeight,
-    OptimalWeight,
     TheoryReport,
     WeightStats,
     centered_weight,
@@ -72,7 +71,6 @@ from .ingest import (
     SubsampleResult,
     calibrate_sigma,
     load_mnist_subset,
-    pair_similarity,
     read_csv_vectors,
     read_idx,
     read_idx_labels,

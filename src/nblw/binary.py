@@ -97,7 +97,8 @@ def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
     With no revealed labels the two clusters are only identifiable up to
     a global sign flip, so the flip maximizing agreement is taken; any
     revealed label breaks that symmetry and the raw agreement is
-    returned.  ``scope`` restricts to ``"all"`` or ``"unlabeled"`` nodes.
+    returned.  ``scope`` restricts to ``"all"`` or ``"unlabeled"`` nodes;
+    an empty scope gives nan.
     """
     est = np.asarray(est)
     truth = np.asarray(truth)
@@ -113,7 +114,7 @@ def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
     else:
         raise ValueError(f"unknown scope {scope!r}")
     if not keep.any():
-        return 1.0
+        return float("nan")
     agree = float(np.mean(est[keep] == truth[keep]))
     if not revealed.any():
         return max(agree, 1.0 - agree)

@@ -118,41 +118,35 @@ def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
     perm = np.arange(data.q)
     perm[:len(matched)] = matched
     hits = perm[est] == truth
-    return float(np.mean(hits)), float(np.mean(hits[~rev]))
-
-
-def _run_nblw(g, data: LabeledDataset, kmax: int, rng):
-    """The library pipeline for ``data.q`` on a centered-weight graph;
-    returns (acc_all, acc_unlabeled, t_iter), t_iter timing the whole
-    call (walk, pool and decision, or k-means for q > 2)."""
-    t0 = time.perf_counter()
-    if data.q == 2:
-        est, _ = run_binary(g, data, kmax, rng)
-    else:
-        est = run_multiclass(g, data, data.q, kmax, rng).assignments
-    t1 = time.perf_counter()
-    return (*_accuracies(est, data), t1 - t0)
-
-
-def _run_lp(graph, sims, data: LabeledDataset, knn: int):
-    """Label propagation on the raw similarities (clipped at zero if the
-    model produced negatives), pruned to per-node top-knn."""
-    sims = np.maximum(np.asarray(sims, dtype=np.float64), 0.0)
-    g = graph.with_pair_weights(sims)
-    if knn > 0 and g.num_pairs:
-        g = sparsify_knn(g, sims, k=knn)
-    t0 = time.perf_counter()
-    est = label_propagation(g, data)
-    t1 = time.perf_counter()
-    return (*_accuracies(est, data), t1 - t0)
+    unlabeled = hits[~rev]
+    return float(np.mean(hits)), float(unlabeled.mean()) if unlabeled.size else float("nan")
 
 
 def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     """One repetition of one method on a centered-weight graph and its raw
-    similarities; returns (acc_all, acc_unlabeled, t_iter)."""
-    if method == "nblw":
-        return _run_nblw(centered, data, int(opts["kmax"]), np.random.default_rng(algo_seed))
-    return _run_lp(centered, sims, data, int(opts["knn"]))
+    similarities; returns (acc_all, acc_unlabeled, t_iter).
+
+    ``nblw`` is the library pipeline for ``data.q``, and t_iter times the
+    whole call (walk, pool and decision, or k-means for q > 2).  ``lp`` is
+    label propagation on the raw similarities (clipped at zero if the
+    model produced negatives), pruned to per-node top-knn; t_iter times the
+    propagation alone.
+    """
+    kmax, knn, rng = int(opts["kmax"]), int(opts["knn"]), np.random.default_rng(algo_seed)
+    if method == "lp":
+        sims = np.maximum(np.asarray(sims, dtype=np.float64), 0.0)
+        g = centered.with_pair_weights(sims)
+        if knn > 0 and g.num_pairs:
+            g = sparsify_knn(g, sims, k=knn)
+        call = lambda: label_propagation(g, data)
+    elif data.q == 2:
+        call = lambda: run_binary(centered, data, kmax, rng)[0]
+    else:
+        call = lambda: run_multiclass(centered, data, data.q, kmax, rng).assignments
+    t0 = time.perf_counter()
+    est = call()
+    t1 = time.perf_counter()
+    return (*_accuracies(est, data), t1 - t0)
 
 
 def _row(opts, provenance, accs, se, t_sample, t_iter) -> dict:
@@ -224,8 +218,7 @@ def _load_points(opts):
         tag = f"mnist{''.join(map(str, digits))}#" + _file_hash12(opts["mnist_images"])
         return points, truth, len(digits), tag
     if kind == "csv":
-        points, truth = read_csv_vectors(opts["path"], header=opts["header"],
-                                         label_column=True)
+        points, truth = read_csv_vectors(opts["path"], header=opts["header"])
         values, truth = np.unique(truth, return_inverse=True)
         return points, truth, len(values), "csv#" + _file_hash12(opts["path"])
     raise ValueError(f"unknown dataset {kind!r}")
@@ -309,6 +302,10 @@ _SWEEP = {
 }
 _LAWS = {"p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1"}
 
+# the least value of each count option; --knn 0 keeps every edge for LP and
+# --de-pop 0 skips density evolution
+_AT_LEAST = {"reps": 1, "knn": 0, "de_pop": 0}
+
 # the options that only one --dataset kind of cluster reads
 _DATASET_OPTIONS = {
     "blobs": {"n", "blob_centers", "blob_sigma", "data_seed"},
@@ -388,6 +385,9 @@ def _merge_options(args: argparse.Namespace, table: dict) -> dict:
             given.add(key)
     if opts.get("seeds") and "reps" in given:
         raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
+    for key, least in _AT_LEAST.items():
+        if key in opts and int(opts[key]) < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least {least}")
     kind = opts.get("dataset")
     if kind in _DATASET_OPTIONS:
         foreign = given & set().union(*_DATASET_OPTIONS.values()) - _DATASET_OPTIONS[kind]

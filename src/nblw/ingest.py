@@ -22,7 +22,6 @@ __all__ = [
     "read_idx",
     "read_idx_labels",
     "read_csv_vectors",
-    "pair_similarity",
     "calibrate_sigma",
     "SubsampleResult",
     "subsample_and_weight",
@@ -81,11 +80,12 @@ def read_idx_labels(path):
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def read_csv_vectors(path, header: bool = False, label_column: bool = False):
-    """Load numeric row vectors from a CSV file, in file order.
+def read_csv_vectors(path, header: bool = False):
+    """Load labelled row vectors from a CSV file, in file order.
 
-    With ``label_column`` the final column is split off as integer
-    labels.  Ragged rows or non-numeric cells raise ValueError.
+    The last column is split off as integer class labels; returns
+    (vectors, labels).  Ragged rows, non-numeric cells, fewer than two
+    columns or a label that is not a finite integer value raise ValueError.
     """
     try:
         with warnings.catch_warnings():
@@ -95,25 +95,15 @@ def read_csv_vectors(path, header: bool = False, label_column: bool = False):
         raise ValueError(f"cannot parse {path}: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"{path} contains no data rows")
-    if label_column:
-        return data[:, :-1], data[:, -1].astype(np.int64)
-    return data, None
-
-
-def pair_similarity(x, y, metric: str = "euclidean", sigma2: float = 1.0) -> float:
-    """Kernel similarity s = exp(-d(x, y)^2 / sigma2) for one pair.
-
-    ``metric`` is "euclidean" or "cosine"; the cosine distance of a zero
-    vector against anything is defined as 1.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError("vectors must have equal dimension")
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    d2 = _sq_distances(np.vstack([x, y]), np.array([[0, 1]]), metric)[0]
-    return float(np.exp(-d2 / sigma2))
+    if data.shape[1] < 2:
+        raise ValueError(f"{path} needs vector columns and a label column, got one column")
+    labels = data[:, -1]
+    bad = ~np.isfinite(labels) | (labels != np.round(labels))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: label {labels[row]:g} of data row {row + 1} "
+                         "is not an integer")
+    return data[:, :-1], labels.astype(np.int64)
 
 
 def calibrate_sigma(sq_distances) -> float:
@@ -131,8 +121,6 @@ def _sq_distances(points, pairs, metric):
     temporaries take O(block * d) memory rather than O(m * d); each row's
     reduction is the same as in one unblocked pass.
     """
-    if metric not in ("euclidean", "cosine"):
-        raise ValueError(f"unknown metric {metric!r}")
     out = np.empty(pairs.shape[0])
     for start in range(0, pairs.shape[0], _PAIR_BLOCK):
         block = pairs[start:start + _PAIR_BLOCK]
@@ -159,9 +147,6 @@ class SubsampleResult:
     sigma2: float                 # calibrated bandwidth
     similarity_evals: int         # distance evaluations performed
 
-    def __iter__(self):  # allow (graph, sims) unpacking
-        return iter((self.graph, self.similarities))
-
 
 def subsample_and_weight(points, alpha: float, metric: str = "euclidean", rng=None) -> SubsampleResult:
     """Sample pairs at mean degree alpha, kernelize their similarities,
@@ -171,7 +156,11 @@ def subsample_and_weight(points, alpha: float, metric: str = "euclidean", rng=No
     are computed first, their mean becomes sigma2, then the same
     distances are kernelized.  The total number of distance evaluations
     is exactly the sampled pair count (recorded on the result).
+    ``metric`` is "euclidean" or "cosine"; the cosine distance of a zero
+    vector against anything is defined as 1.
     """
+    if metric not in ("euclidean", "cosine"):
+        raise ValueError(f"unknown metric {metric!r}")
     points = np.asarray(points, dtype=np.float64)
     if rng is None:
         rng = np.random.default_rng()

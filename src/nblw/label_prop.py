@@ -27,22 +27,17 @@ class ConvergenceWarning(UserWarning):
     """Label propagation reached ``max_iter`` before its tolerance."""
 
 
-def sparsify_knn(
-    g: WeightedGraph, similarities, k: int = 3, mode: str = "union"
-) -> WeightedGraph:
+def sparsify_knn(g: WeightedGraph, similarities, k: int = 3) -> WeightedGraph:
     """Keep, per node, the edges to its k most similar neighbors.
 
     ``similarities`` are the raw per-pair values (ranking uses these, not
-    whatever weights the graph currently carries).  With ``mode="union"``
-    an edge survives if either endpoint ranks it in its own top k; with
-    ``mode="mutual"`` both endpoints must.  Ties rank the lower neighbor
-    index first.  Nodes of degree <= k keep all their edges (union mode).
+    whatever weights the graph currently carries).  An edge survives if
+    either endpoint ranks it in its own top k, so nodes of degree <= k keep
+    all their edges.  Ties rank the lower neighbor index first.
     """
     sims = np.asarray(similarities, dtype=np.float64)
     if sims.shape != (g.num_pairs,):
         raise ValueError(f"expected {g.num_pairs} per-pair similarities")
-    if mode not in ("union", "mutual"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     # rank within each source's out-edges: sort by (src asc, sim desc, dst asc)
     order = np.lexsort((g.dst, -np.concatenate([sims, sims]), g.src))
@@ -50,8 +45,7 @@ def sparsify_knn(
     rank = np.empty(g.num_half_edges, dtype=np.int64)
     rank[order] = np.arange(g.num_half_edges) - np.repeat(np.cumsum(degree) - degree, degree)
     # row 0 ranks pair p from pairs[p, 0]'s side, row 1 from pairs[p, 1]'s
-    chosen = (rank < k).reshape(2, g.num_pairs)
-    keep_pair = chosen.any(axis=0) if mode == "union" else chosen.all(axis=0)
+    keep_pair = (rank < k).reshape(2, g.num_pairs).any(axis=0)
     return build_graph(g.n, g.pairs[keep_pair], g.pair_weights()[keep_pair])
 
 

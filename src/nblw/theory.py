@@ -36,7 +36,6 @@ from .model import ModelSpec
 __all__ = [
     "AffineWeight",
     "FunctionWeight",
-    "OptimalWeight",
     "identity_weight",
     "centered_weight",
     "optimal_weight",
@@ -95,31 +94,6 @@ class FunctionWeight:
         return np.asarray(self.fn(np.asarray(s, dtype=np.float64)), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class OptimalWeight:
-    """The variance-optimal weighting (p_in - p_out) / (p_in + p_out).
-
-    Defined as 0 wherever both densities vanish.  Requires pointwise
-    densities on both distribution handles.
-    """
-
-    p_in: object
-    p_out: object
-
-    def __post_init__(self):
-        for d in (self.p_in, self.p_out):
-            if not hasattr(d, "pdf"):
-                raise ValueError("optimal weighting needs pointwise densities")
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        fi, fo = self.p_in.pdf(s), self.p_out.pdf(s)
-        num, den = fi - fo, fi + fo
-        out = np.zeros_like(den)
-        np.divide(num, den, out=out, where=den > 0)
-        return out
-
-
 def identity_weight() -> AffineWeight:
     return AffineWeight()
 
@@ -130,8 +104,23 @@ def centered_weight(p_in, p_out) -> AffineWeight:
     return AffineWeight(shift=0.5 * (p_in.mean() + p_out.mean()))
 
 
-def optimal_weight(p_in, p_out) -> OptimalWeight:
-    return OptimalWeight(p_in, p_out)
+def optimal_weight(p_in, p_out) -> FunctionWeight:
+    """The variance-optimal weighting (p_in - p_out) / (p_in + p_out).
+
+    Defined as 0 wherever both densities vanish.  Requires pointwise
+    densities on both distribution handles.
+    """
+    if not all(hasattr(d, "pdf") for d in (p_in, p_out)):
+        raise ValueError("optimal weighting needs pointwise densities")
+
+    def w(s):
+        fi, fo = p_in.pdf(s), p_out.pdf(s)
+        num, den = fi - fo, fi + fo
+        out = np.zeros_like(den)
+        np.divide(num, den, out=out, where=den > 0)
+        return out
+
+    return FunctionWeight(w, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +279,7 @@ def tau_optimal(alpha: float, p_in, p_out) -> float:
     """
     from scipy.integrate import quad
 
-    w = OptimalWeight(p_in, p_out)  # validates densities exist
+    optimal_weight(p_in, p_out)  # validates densities exist
 
     def integrand(s):
         fi, fo = float(p_in.pdf(s)), float(p_out.pdf(s))
@@ -432,7 +421,8 @@ class TheoryReport:
     def to_dict(self) -> dict:
         """Flat record for CSV/JSON emission, with the fixed points of both
         recursions: r_limit = (tau - 1)/tau for tau > 1 and
-        q_limit = (2/3)(tau - 1) above ``CHERNOFF_TAU_THRESHOLD``, else 0."""
+        q_limit = (2/3)(tau - 1) above ``CHERNOFF_TAU_THRESHOLD``, else 0;
+        both are 0 for a signal-free model (delta <= 0)."""
         rec = {
             "alpha": self.alpha,
             "eta": self.eta,
@@ -450,7 +440,7 @@ class TheoryReport:
         }
         if self.eta < 1.0 and self.delta > 0:
             rec["sufficient_alpha"] = sufficient_alpha(self.eta, self.delta, self.sigma2)
-        tau = self.tau
+        tau = self.tau if self.delta > 0 else 0.0
         rec["r_limit"] = max(0.0, (tau - 1.0) / tau) if tau > 1 else 0.0
         rec["q_limit"] = (2.0 / 3.0) * (tau - 1.0) if tau > CHERNOFF_TAU_THRESHOLD else 0.0
         return rec
@@ -460,10 +450,11 @@ def theory_report(stats: WeightStats, eta: float, k: int) -> TheoryReport:
     """Assemble both recursions into one report; ``envelope_valid`` says
     whether the hypotheses of :func:`mgf_envelope_sequences` hold.
 
-    A signal-free model (delta <= 0 forces tau = 0) gets the trivial
-    Chernoff side: q collapses to 0 and the bound degenerates to 1.
+    A signal-free model (delta <= 0; ``stats.tau`` = alpha*delta^2/sigma2
+    may still be positive) runs both recursions at tau = 0: r and q
+    collapse to 0 and both bounds degenerate to 1.
     """
-    r, cantelli = snr_recursion(stats.tau, eta, k)
+    r, cantelli = snr_recursion(stats.tau if stats.delta > 0 else 0.0, eta, k)
     if stats.delta > 0:
         q, chernoff, informative = chernoff_recursion(
             stats.tau, eta, k, stats.delta, stats.sigma2

@@ -222,6 +222,8 @@ class TestAccuracy:
         revealed = np.array([False, True, False, False])
         assert accuracy(e, t, "all", revealed) == 0.75
         assert accuracy(e, t, "unlabeled", revealed) == 1.0
+        # with every node revealed the unlabeled scope is empty
+        assert np.isnan(accuracy(e, t, "unlabeled", np.ones(4, dtype=bool)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -109,6 +110,19 @@ class TestSynth:
         assert {r["method"] for r in rows} == {"nblw", "lp"}
         assert all(float(r["acc_all"]) > 0.5 for r in rows)
 
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_all_revealed_gives_nan_unlabeled_accuracy(self, q):
+        # no unlabelled node: acc_unlabeled is nan for every q and method,
+        # without numpy's empty-slice warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["synth", "--n", "300", "--alpha", "5", "--eta", "1",
+                                 "--q", q, "--kmax", "5", "--method", "both"])
+        assert code == 0
+        rows = rows_of(out)
+        assert [r["method"] for r in rows] == ["nblw", "lp"]
+        assert all(r["acc_unlabeled"] == "nan" and r["acc_all"] != "nan" for r in rows)
+
     def test_revealed_labels_missing_a_class(self):
         # the 3 revealed nodes hold classes 0 and 1 only, while k-means
         # assigns label 2 elsewhere
@@ -170,7 +184,7 @@ class TestCluster:
         residual = np.abs(acc - pava(acc)).max()
         assert residual < 0.02
 
-    def test_csv_dataset(self, tmp_path):
+    def test_csv_dataset(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         n = 600
         X = np.concatenate([rng.normal(-2, 1, (n // 2, 2)), rng.normal(2, 1, (n // 2, 2))])
@@ -183,6 +197,14 @@ class TestCluster:
         ])
         assert code == 0
         assert float(rows_of(out)[0]["acc_all"]) > 0.75
+        # a label column of fractions is an error naming the file
+        y = np.tile([0.2, 0.7, 1.0, 1.0], n // 4)
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",")
+        code = main(["cluster", "--dataset", "csv", "--path", str(path), "--alpha", "8",
+                     "--method", "both"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"nblw: error: {path}: label 0.2 of data row 1 is not an integer\n"
 
     def test_missing_dataset_fails_cleanly(self, capsys):
         code = main(["cluster", "--dataset", "csv", "--path", "/nonexistent.csv"])
@@ -248,6 +270,21 @@ class TestTheoryCmd:
         row = rows_of(out)[0]
         assert row["de_error"] != "" and row["cantelli_pass"] == "1"
         assert row["chernoff_pass"] == "1"
+
+    def test_negative_delta_is_signal_free(self):
+        """With delta < 0, tau = alpha*delta^2/sigma2 stays positive, but
+        both recursions run at tau = 0: no bound below 1, no fixed point."""
+        _, out = run_cli([
+            "theory", "--alpha", "25", "--eta", "0.3", "--kmax", "2",
+            "--p-in", "gaussian:-0.5:1", "--p-out", "gaussian:0.5:1",
+            "--weight", "identity", "--de-pop", "20000",
+        ])
+        row = rows_of(out)[0]
+        assert float(row["delta"]) == -0.5 and float(row["tau"]) == 5.0
+        assert float(row["r_final"]) == 0.0 and float(row["q_final"]) == 0.0
+        assert float(row["r_limit"]) == 0.0 and float(row["q_limit"]) == 0.0
+        assert float(row["cantelli_bound"]) == 1.0 and float(row["chernoff_bound"]) == 1.0
+        assert float(row["de_error"]) > 0.9 and row["cantelli_pass"] == "1"
 
     def test_json_output(self):
         code, out = run_cli([
@@ -370,11 +407,15 @@ READS = {
                "de_pop"},
 }
 SWITCHES = {"timings", "json", "header"}
-# argparse's own messages, which the CLI prints as its one error line
+# the messages other than "does not read" that the CLI prints as its one
+# error line: argparse's own, then the range checks of the count options
 PARSE_ERRORS = {
     "--n": "argument --n: expected one argument",
     "--alpha": "argument --alpha: expected one argument",
     "command": "the following arguments are required: command",
+    "--reps": "--reps must be at least 1",
+    "--knn": "--knn must be at least 0",
+    "--de-pop": "--de-pop must be at least 0",
 }
 UNREAD = [(cmd, key) for cmd in READS
           for key in sorted(set().union(*READS.values()) - READS[cmd])]
@@ -415,6 +456,11 @@ class TestOptionTables:
         (["synth", "--n"], "--n"),             # a flag without its value
         (["theory", "--alpha"], "--alpha"),
         ([], "command"),                       # no subcommand
+        (["cluster", "--reps", "0"], "--reps"),
+        (["synth", "--reps", "0"], "--reps"),
+        (["synth", "--reps", "-1"], "--reps"),
+        (["cluster", "--knn", "-2"], "--knn"),
+        (["theory", "--de-pop", "-5"], "--de-pop"),
     ])
     def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
         assert main(argv) == 1

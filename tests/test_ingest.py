@@ -14,7 +14,6 @@ from nblw import (
     draw_er_pairs,
     dataset_from_truth,
     load_mnist_subset,
-    pair_similarity,
     read_csv_vectors,
     read_idx,
     read_idx_labels,
@@ -83,14 +82,15 @@ class TestReadIdx:
 class TestReadCsvVectors:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "v.csv"
-        path.write_text("1.5,2\n3,4.25\n")
+        path.write_text("1.5,2,0\n3,4.25,1\n")
         X, labels = read_csv_vectors(path)
-        assert np.array_equal(X, [[1.5, 2.0], [3.0, 4.25]]) and labels is None
+        assert np.array_equal(X, [[1.5, 2.0], [3.0, 4.25]])
+        assert np.array_equal(labels, [0, 1]) and labels.dtype == np.int64
 
     def test_header_and_label_column(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("a,b,label\n1,2,0\n3,4,1\n")
-        X, labels = read_csv_vectors(path, header=True, label_column=True)
+        X, labels = read_csv_vectors(path, header=True)
         assert np.array_equal(X, [[1, 2], [3, 4]])
         assert np.array_equal(labels, [0, 1])
 
@@ -102,20 +102,33 @@ class TestReadCsvVectors:
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("1,2\n3\n")
+        path.write_text("1,2,0\n3,1\n")
         with pytest.raises(ValueError):
             read_csv_vectors(path)
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "text.csv"
-        path.write_text("1,2\n3,oops\n")
+        path.write_text("1,2,0\n3,oops,1\n")
         with pytest.raises(ValueError):
+            read_csv_vectors(path)
+
+    @pytest.mark.parametrize("label", ["0.7", "-0.5", "nan", "inf"])
+    def test_non_integer_label_names_the_file(self, tmp_path, label):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"1,0\n2,{label}\n3,1.0\n4,1.0\n")
+        with pytest.raises(ValueError, match=f"labels.csv: label {label} of data row 2 "):
+            read_csv_vectors(path)
+
+    def test_one_column_names_the_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n0\n")
+        with pytest.raises(ValueError, match="one.csv needs vector columns and a label"):
             read_csv_vectors(path)
 
     def test_large_file_parse_speed(self, tmp_path):
         path = tmp_path / "big.csv"
         rng = np.random.default_rng(0)
-        arr = rng.integers(0, 256, size=(10**4, 784))
+        arr = rng.integers(0, 256, size=(10**4, 785))
         np.savetxt(path, arr, fmt="%d", delimiter=",")
         t0 = time.perf_counter()
         X, _ = read_csv_vectors(path)
@@ -125,28 +138,34 @@ class TestReadCsvVectors:
 
 
 class TestPairSimilarity:
+    @staticmethod
+    def pair_similarity(x, y, metric, sigma2):
+        """exp(-d(x, y)^2 / sigma2) for one pair, by the sampled kernel."""
+        d2 = ingest._sq_distances(np.array([x, y], dtype=np.float64), np.array([[0, 1]]),
+                                  metric)
+        return float(np.exp(-d2[0] / sigma2))
+
     def test_identical_points(self):
-        assert pair_similarity([1.0, 2.0], [1.0, 2.0], "euclidean", 3.0) == 1.0
+        assert self.pair_similarity([1.0, 2.0], [1.0, 2.0], "euclidean", 3.0) == 1.0
 
     def test_distance_equals_bandwidth(self):
-        s = pair_similarity([0.0], [2.0], "euclidean", sigma2=4.0)
+        s = self.pair_similarity([0.0], [2.0], "euclidean", sigma2=4.0)
         assert s == pytest.approx(np.exp(-1.0))
 
     def test_orthogonal_cosine(self):
-        s = pair_similarity([1.0, 0.0], [0.0, 1.0], "cosine", sigma2=0.5)
+        s = self.pair_similarity([1.0, 0.0], [0.0, 1.0], "cosine", sigma2=0.5)
         assert s == pytest.approx(np.exp(-1 / 0.5))
 
     def test_zero_vector_cosine_distance_one(self):
-        s = pair_similarity([0.0, 0.0], [1.0, 0.0], "cosine", sigma2=1.0)
+        s = self.pair_similarity([0.0, 0.0], [1.0, 0.0], "cosine", sigma2=1.0)
         assert s == pytest.approx(np.exp(-1.0))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="dimension"):
-            pair_similarity([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="sigma2"):
-            pair_similarity([1.0], [2.0], sigma2=0.0)
-        with pytest.raises(ValueError, match="metric"):
-            pair_similarity([1.0], [2.0], metric="manhattan")
+        # subsample_and_weight checks the metric first: at alpha 1e-9 no
+        # pair is drawn, so no distance evaluation would catch it
+        pts = np.random.default_rng(6).standard_normal((500, 2))
+        with pytest.raises(ValueError, match="unknown metric 'manhattan'"):
+            subsample_and_weight(pts, 1e-9, "manhattan", np.random.default_rng(0))
 
 
 class TestCalibrateSigma:
@@ -209,12 +228,6 @@ class TestSubsampleAndWeight:
         mean = res.similarities.mean()
         assert np.all(w > -mean - 1e-12) and np.all(w <= 1 - mean + 1e-12)
         assert abs(w.sum()) < 1e-6
-
-    def test_unpacks_as_pair(self):
-        rng = np.random.default_rng(6)
-        pts = rng.standard_normal((500, 2))
-        graph, sims = subsample_and_weight(pts, 4.0, "euclidean", np.random.default_rng(2))
-        assert graph.num_pairs == sims.shape[0]
 
 
 class TestBlockedKernel:

@@ -43,20 +43,14 @@ class TestSparsifyKnn:
         pruned = sparsify_knn(g, np.array(sims), k=1)
         assert pruned.num_pairs == 5
 
-    def test_mutual_star_keeps_single_best(self):
-        pairs = [(0, i) for i in range(1, 6)]
-        sims = [0.1, 0.2, 0.3, 0.4, 0.5]
-        g = build_graph(6, pairs, sims)
-        pruned = sparsify_knn(g, np.array(sims), k=1, mode="mutual")
-        assert pruned.num_pairs == 1
-        assert {tuple(p) for p in pruned.pairs} == {(0, 5)}
-
     def test_ties_rank_lower_neighbor_first(self):
-        pairs = [(0, 1), (0, 2), (0, 3)]
-        sims = np.array([0.5, 0.5, 0.5])  # all tied
-        g = build_graph(4, pairs, sims)
-        pruned = sparsify_knn(g, sims, k=1, mode="mutual")
-        assert {tuple(p) for p in pruned.pairs} == {(0, 1)}
+        """Node 0's three edges tie; each leaf ranks its 0.9 edge first, so
+        only node 0's own top 1, the lowest neighbor, keeps an edge to 0."""
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
+        sims = np.array([0.5, 0.5, 0.5, 0.9, 0.9, 0.9])
+        g = build_graph(7, pairs, sims)
+        pruned = sparsify_knn(g, sims, k=1)
+        assert {tuple(p) for p in pruned.pairs} == {(0, 1), (1, 4), (2, 5), (3, 6)}
 
     def test_rank_predicate_oracle_n100(self):
         """Every kept edge is in someone's top k; every dropped edge in
