@@ -9,10 +9,12 @@ pipelines, :func:`nblw.binary.run_binary` (q = 2) and
 :func:`nblw.multiclass.run_multiclass` (q > 2); ``--timings`` fills the
 phase columns.
 
-Each subcommand reads the options of its table in ``COMMANDS``, as long
-flags or as the keys of a flat JSON config, which the flags override; any
-other option is an error, and so is an option that only another
-``cluster --dataset`` kind reads.  Per-repetition seeds are derived from
+Each subcommand reads the options of its table in ``COMMANDS`` as long
+flags, each converted once to the type of its table default; any other
+option is an error, and so is an option that only another ``cluster
+--dataset`` kind reads.  An argument ``@FILE`` stands for the
+shell-quoted flags in FILE (``#`` starts a comment), and a later argument
+overrides an earlier one.  Per-repetition seeds are derived from
 the master seed with the package-wide seed-splitting rule (see
 :func:`nblw.model.split_seed`); ``synth`` takes ``--seeds`` to pin them,
 one row per seed, in place of ``--reps``.
@@ -24,6 +26,8 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import shlex
 import sys
 import time
 
@@ -79,10 +83,6 @@ def _file_hash12(path: str) -> str:
     return h.hexdigest()[:12]
 
 
-def _float_list(text) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x != ""]
-
-
 def _fmt(x) -> str:
     if x is None or x == "":
         return ""
@@ -132,7 +132,7 @@ def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     model produced negatives), pruned to per-node top-knn; t_iter times the
     propagation alone.
     """
-    kmax, knn, rng = int(opts["kmax"]), int(opts["knn"]), np.random.default_rng(algo_seed)
+    kmax, knn, rng = opts["kmax"], opts["knn"], np.random.default_rng(algo_seed)
     if method == "lp":
         sims = np.maximum(np.asarray(sims, dtype=np.float64), 0.0)
         g = centered.with_pair_weights(sims)
@@ -174,17 +174,14 @@ def _methods(name: str) -> list[str]:
 def cmd_synth(opts) -> list[dict]:
     p_in = parse_distribution(opts["p_in"])
     p_out = parse_distribution(opts["p_out"])
-    n, q, kmax = int(opts["n"]), int(opts["q"]), int(opts["kmax"])
-    alphas, etas = _float_list(opts["alpha"]), _float_list(opts["eta"])
-    reps = int(opts["reps"])
+    n, q, kmax, reps = opts["n"], opts["q"], opts["kmax"], opts["reps"]
     methods = _methods(opts["method"])
     dataset = "synth#" + _hash12(f"n={n} q={q} pin={p_in!r} pout={p_out!r}")
 
-    grid = [(a, e) for a in alphas for e in etas]
-    pinned = [int(s) for s in str(opts["seeds"]).split(",")] if opts.get("seeds") else None
+    grid = [(a, e) for a in opts["alpha"] for e in opts["eta"]]
     rows = []
     for gi, (alpha, eta) in enumerate(grid):
-        seeds = pinned or split_seed(int(opts["seed"]), len(grid) * reps)[gi * reps:(gi + 1) * reps]
+        seeds = opts["seeds"] or split_seed(opts["seed"], len(grid) * reps)[gi * reps:(gi + 1) * reps]
         for row_seed in seeds:
             inst_seed, algo_seed = split_seed(row_seed, 2)
             spec = ModelSpec(n=n, q=q, alpha=alpha, eta=eta, p_in=p_in, p_out=p_out,
@@ -205,15 +202,15 @@ def _load_points(opts):
     kind = opts["dataset"]
     if kind == "blobs":
         centers = [
-            [float(c) for c in grp.split(":")] for grp in str(opts["blob_centers"]).split(";")
+            [float(c) for c in grp.split(":")] for grp in opts["blob_centers"].split(";")
         ]
-        n, sigma = int(opts["n"]), float(opts["blob_sigma"])
-        rng = np.random.default_rng(int(opts["data_seed"]))
+        n, sigma = opts["n"], opts["blob_sigma"]
+        rng = np.random.default_rng(opts["data_seed"])
         points, truth = gaussian_blobs(n, centers, sigma, rng)
         desc = f"blobs:n={n}:sigma={sigma}:centers={centers}:seed={opts['data_seed']}"
         return points, truth, len(centers), "blobs#" + _hash12(desc)
     if kind == "mnist":
-        digits = [int(d) for d in str(opts["digits"]).split(",")]
+        digits = opts["digits"]
         points, truth = load_mnist_subset(opts["mnist_images"], opts["mnist_labels"], digits)
         tag = f"mnist{''.join(map(str, digits))}#" + _file_hash12(opts["mnist_images"])
         return points, truth, len(digits), tag
@@ -227,12 +224,10 @@ def _load_points(opts):
 def cmd_cluster(opts) -> list[dict]:
     points, truth, q, dataset = _load_points(opts)
     n = points.shape[0]
-    alphas, etas = _float_list(opts["alpha"]), _float_list(opts["eta"])
-    kmax, reps = int(opts["kmax"]), int(opts["reps"])
+    kmax, reps, master = opts["kmax"], opts["reps"], opts["seed"]
     methods = _methods(opts["method"])
-    master = int(opts["seed"])
 
-    grid = [(a, e) for a in alphas for e in etas]
+    grid = [(a, e) for a in opts["alpha"] for e in opts["eta"]]
     rows = []
     for gi, (alpha, eta) in enumerate(grid):
         seeds = split_seed(master, len(grid) * reps)[gi * reps:(gi + 1) * reps]
@@ -261,16 +256,14 @@ def cmd_cluster(opts) -> list[dict]:
 def cmd_theory(opts) -> list[dict]:
     p_in = parse_distribution(opts["p_in"])
     p_out = parse_distribution(opts["p_out"])
-    eta, kmax = float(opts["eta"]), int(opts["kmax"])
-    de_pop = int(opts["de_pop"])
+    eta, kmax, de_pop, alphas = opts["eta"], opts["kmax"], opts["de_pop"], opts["alpha"]
     weights = {"center": lambda: centered_weight(p_in, p_out), "identity": identity_weight,
                "optimal": lambda: optimal_weight(p_in, p_out)}
     if opts["weight"] not in weights:
         raise ValueError(f"unknown weight {opts['weight']!r}")
     w = weights[opts["weight"]]()
-    alphas = _float_list(opts["alpha"])
     # word 0 seeds the density-evolution graphs, word 2 * ai + 1 alpha ai's Monte Carlo
-    words = split_seed(int(opts["seed"]), 2 * len(alphas))
+    words = split_seed(opts["seed"], 2 * len(alphas))
     rows = []
     for ai, alpha in enumerate(alphas):
         rng = np.random.default_rng(words[2 * ai + 1])
@@ -295,16 +288,16 @@ def cmd_theory(opts) -> list[dict]:
 # option handling and entry point
 # ---------------------------------------------------------------------------
 
-# options read by both sweeps, and the similarity laws of the model
+# options read by both sweeps, and the similarity laws of the model; a
+# default's type is the type of the option's value (a list: comma-separated)
 _SWEEP = {
-    "n": 10000, "alpha": "5", "eta": "0.1", "kmax": DEFAULT_KMAX, "reps": 1,
+    "n": 10000, "alpha": [5.0], "eta": [0.1], "kmax": DEFAULT_KMAX, "reps": 1,
     "method": "nblw", "seed": 0, "out": "-", "knn": 3, "timings": False, "json": False,
 }
 _LAWS = {"p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1"}
 
-# the least value of each count option; --knn 0 keeps every edge for LP and
-# --de-pop 0 skips density evolution
-_AT_LEAST = {"reps": 1, "knn": 0, "de_pop": 0}
+# the least value of each count option; --knn 0 keeps every edge for LP
+_AT_LEAST = {"reps": 1, "knn": 0, "kmax": 0}
 
 # the options that only one --dataset kind of cluster reads
 _DATASET_OPTIONS = {
@@ -315,79 +308,83 @@ _DATASET_OPTIONS = {
 
 # name -> (command, CSV header, the options it reads with their defaults)
 COMMANDS = {
-    "synth": (cmd_synth, CSV_HEADER, {**_SWEEP, "q": 2, "seeds": "", **_LAWS}),
+    "synth": (cmd_synth, CSV_HEADER, {**_SWEEP, "q": 2, "seeds": [], **_LAWS}),
     "cluster": (cmd_cluster, CSV_HEADER, {
         **_SWEEP, "dataset": "blobs", "metric": "euclidean",
         "blob_centers": "-3:0;3:0", "blob_sigma": 1.0, "data_seed": 0,
-        "digits": "0,1", "mnist_images": "", "mnist_labels": "", "path": "", "header": False}),
+        "digits": [0, 1], "mnist_images": "", "mnist_labels": "", "path": "", "header": False}),
     "theory": (cmd_theory, THEORY_HEADER, {
-        **{k: _SWEEP[k] for k in ("alpha", "eta", "kmax", "seed", "out", "json")},
+        **{k: _SWEEP[k] for k in ("alpha", "kmax", "seed", "out", "json")}, "eta": 0.1,
         **_LAWS, "weight": "center", "de_pop": 0}),
 }
 
 
+def _scalar(kind, text: str):
+    """``text`` as an int, or as a float that is neither nan nor infinite."""
+    try:
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    name = "int" if kind is int else "finite float"
+    raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
+
+
+def _reader(default):
+    """The argparse type of an option with this table default.  A list
+    reads comma-separated items of its first item's type; the empty list of
+    ``seeds`` reads integers and may be given empty."""
+    if isinstance(default, list):
+        item = _reader(default[0] if default else 0)
+        return lambda text: [item(x) for x in text.split(",")] if text or default else []
+    if isinstance(default, str):
+        return str
+    return lambda text: _scalar(type(default), text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError instead of printing the usage and exiting 2, so
-    that a malformed command line is one ``nblw: error:`` line, exit 1."""
+    that a malformed command line is one ``nblw: error:`` line, exit 1.
+    Reads each line of an ``@file`` argument as shell words."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def convert_arg_line_to_args(self, arg_line):
+        return shlex.split(arg_line, comments=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nblw",
         description="clustering from subsampled pairwise similarities",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, table) in COMMANDS.items():
         # no prefixes: with fewer flags, more of them would match one silently
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="JSON file of option defaults")
         for key, default in table.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                p.add_argument(flag, action="store_const", const=True, default=None)
+                p.add_argument(flag, action="store_const", const=True)
             else:
-                p.add_argument(flag, default=None)
+                p.add_argument(flag, type=_reader(default))
     return parser
 
 
-def _check_config(loaded, table: dict) -> dict:
-    """Validate a loaded config: the table's keys, JSON true/false for
-    switches, a number or a string for every other key.  Numbers given for
-    keys that take text are read as their text, as a flag would give them."""
-    if not isinstance(loaded, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(loaded) - set(table)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in loaded.items():
-        switch = isinstance(table[key], bool)
-        if switch != isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            kind = "true or false" if switch else "a number or a string"
-            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
-    return {k: str(v) if isinstance(table[k], str) else v for k, v in loaded.items()}
-
-
 def _merge_options(args: argparse.Namespace, table: dict) -> dict:
-    opts = dict(table)
-    given = set()
-    if args.config:
-        with open(args.config) as fh:
-            loaded = _check_config(json.load(fh), table)
-        opts.update(loaded)
-        given.update(loaded)
-    for key in table:
-        value = getattr(args, key)
-        if value is not None:
-            opts[key] = value
-            given.add(key)
+    given = {key for key in table if getattr(args, key) is not None}
+    opts = {key: getattr(args, key) if key in given else table[key] for key in table}
     if opts.get("seeds") and "reps" in given:
         raise ValueError("--seeds pins one row per seed; it cannot be combined with --reps")
     for key, least in _AT_LEAST.items():
-        if key in opts and int(opts[key]) < least:
-            raise ValueError(f"--{key.replace('_', '-')} must be at least {least}")
+        if opts.get(key, least) < least:
+            raise ValueError(f"--{key} must be at least {least}")
+    # --de-pop 0 skips density evolution, whose population needs two members
+    if opts.get("de_pop", 0) < 0 or opts.get("de_pop") == 1:
+        raise ValueError("--de-pop must be 0 or at least 2")
     kind = opts.get("dataset")
     if kind in _DATASET_OPTIONS:
         foreign = given & set().union(*_DATASET_OPTIONS.values()) - _DATASET_OPTIONS[kind]
@@ -420,7 +417,7 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.command} does not read {unread[0].split('=')[0]}")
         command, header, table = COMMANDS[args.command]
         opts = _merge_options(args, table)
-        _write_rows(command(opts), header, opts["out"], bool(opts["json"]))
+        _write_rows(command(opts), header, opts["out"], opts["json"])
     except (ValueError, OSError) as exc:
         print(f"nblw: error: {exc}", file=sys.stderr)
         return 1

@@ -85,7 +85,8 @@ def read_csv_vectors(path, header: bool = False):
 
     The last column is split off as integer class labels; returns
     (vectors, labels).  Ragged rows, non-numeric cells, fewer than two
-    columns or a label that is not a finite integer value raise ValueError.
+    columns, a vector cell that is nan or infinite, or a label that is not
+    a finite integer value raise ValueError naming the file.
     """
     try:
         with warnings.catch_warnings():
@@ -97,6 +98,10 @@ def read_csv_vectors(path, header: bool = False):
         raise ValueError(f"{path} contains no data rows")
     if data.shape[1] < 2:
         raise ValueError(f"{path} needs vector columns and a label column, got one column")
+    finite = np.isfinite(data[:, :-1])
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: value {data[row, col]:g} of data row {row + 1} is not finite")
     labels = data[:, -1]
     bad = ~np.isfinite(labels) | (labels != np.round(labels))
     if bad.any():
@@ -107,11 +112,16 @@ def read_csv_vectors(path, header: bool = False):
 
 
 def calibrate_sigma(sq_distances) -> float:
-    """Bandwidth = mean of the observed squared distances."""
+    """Bandwidth = mean of the observed squared distances, which must be
+    finite: a nan or infinite coordinate would make every similarity 1."""
     d2 = np.asarray(sq_distances, dtype=np.float64)
     if d2.size == 0:
         raise ValueError("cannot calibrate a bandwidth from no distances")
-    return float(d2.mean())
+    sigma2 = float(d2.mean())
+    if not np.isfinite(sigma2):
+        raise ValueError(f"cannot calibrate a bandwidth from distances of mean {sigma2}; "
+                         "are all coordinates finite?")
+    return sigma2
 
 
 def _sq_distances(points, pairs, metric):

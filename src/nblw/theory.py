@@ -211,10 +211,12 @@ def snr_recursion(tau: float, eta: float, k: int):
     tau > 1 the trajectory converges to (tau - 1) / tau from any positive
     start; for tau <= 1 it decays to 0 and the bound degenerates to 1.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     r = np.empty(k + 2)
     r[0] = eta**2
     for l in range(k + 1):
@@ -233,8 +235,10 @@ def chernoff_recursion(tau: float, eta: float, k: int, delta: float, sigma2: flo
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     q = np.empty(k + 2)
     q[0] = 2.0 * eta**2
     for l in range(k + 1):
@@ -249,18 +253,21 @@ def mgf_envelope_sequences(alpha: float, delta: float, sigma2: float, eta: float
 
     a_0 = eta, b_0 = 1/2, then a_{l+1} = alpha*delta*a_l and
     b_{l+1} = alpha*sigma2*(b_l + 1.5*max(a_l^2, b_l)).  Requires
-    alpha*delta > 1 and alpha*sigma2 > 1 (both sequences then increase).
+    finite alpha*delta > 1 and alpha*sigma2 > 1 (both sequences then
+    increase), and k >= 0.
     Returns (a, b, q) with q_l = a_l^2 / b_l, the same quantity as
     :func:`chernoff_recursion`.
 
     Both sequences grow geometrically; for large k prefer
     :func:`chernoff_recursion`, which iterates the bounded ratio directly.
     """
-    if not (alpha * delta > 1.0 and alpha * sigma2 > 1.0):
+    if not (1.0 < alpha * delta < math.inf and 1.0 < alpha * sigma2 < math.inf):
         raise ValueError(
-            "envelope sequences need alpha*delta > 1 and alpha*sigma2 > 1 "
+            "envelope sequences need finite alpha*delta > 1 and alpha*sigma2 > 1 "
             f"(got {alpha * delta:.4g} and {alpha * sigma2:.4g})"
         )
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     a = np.empty(k + 2)
     b = np.empty(k + 2)
     a[0], b[0] = eta, 0.5

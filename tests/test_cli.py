@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -313,23 +314,26 @@ class TestTimings:
                 assert float(row["phase_decide_s"]) == 0.0
 
 
+def args_file(tmp_path, text):
+    """Write an argument file (a run's config: shell-quoted flags, # comments)
+    and return the argument that names it."""
+    path = tmp_path / "run.args"
+    path.write_text(text)
+    return f"@{path}"
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "n": 1000, "alpha": "5", "eta": "0.2", "reps": 2,
-            "p_in": "point:1", "p_out": "point:-1", "kmax": 5,
-        }))
-        code, out = run_cli(["synth", "--config", str(cfg), "--reps", "3"])
+        cfg = args_file(tmp_path, "--n 1000 --alpha 5 --eta 0.2 --reps 2\n"
+                                  "--p-in point:1 --p-out point:-1 --kmax 5\n")
+        code, out = run_cli(["synth", cfg, "--reps", "3"])
         assert code == 0
-        assert len(rows_of(out)) == 3  # flag beats config
+        assert len(rows_of(out)) == 3  # a later argument beats the file
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = main(["synth", "--config", str(cfg)])
-        assert code != 0
-        assert "unknown config keys" in capsys.readouterr().err
+        code = main(["synth", args_file(tmp_path, "--bogus 1\n")])
+        assert code == 1
+        assert capsys.readouterr().err == "nblw: error: synth does not read --bogus\n"
 
     def test_bad_distribution_spec(self, capsys):
         code = main(["synth", "--p-in", "cauchy:0"])
@@ -348,12 +352,14 @@ class TestConfigAndErrors:
         ({"json": "yes"}, "'json'"),
     ])
     def test_wrong_config_type_is_one_line_error(self, tmp_path, capsys, config, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code = main(["synth", "--config", str(cfg)])
+        # each value, written as JSON, is the value of its flag in an
+        # argument file; key is the option name as once quoted in the error
+        name = key.strip("'")
+        cfg = args_file(tmp_path, f"--{name}={shlex.quote(json.dumps(config[name]))}\n")
+        code = main(["synth", cfg])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("nblw: error:") and key in err and err.count("\n") == 1
+        assert err.startswith(f"nblw: error: argument --{name}: ") and err.count("\n") == 1
 
     def test_rank_loss_is_one_line_error(self, capsys):
         # the sampled graph is a forest, where the operator is nilpotent
@@ -364,26 +370,32 @@ class TestConfigAndErrors:
         assert err.startswith("nblw: error:") and "lost rank" in err and err.count("\n") == 1
 
     def test_config_number_for_text_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 800, "alpha": 5, "eta": 0.2, "kmax": 5}))
-        code, by_config = run_cli(["synth", "--config", str(cfg)])
-        assert code == 0
-        _, by_flags = run_cli(["synth", "--n", "800", "--alpha", "5", "--eta", "0.2",
-                               "--kmax", "5"])
-        assert by_config == by_flags
         # read as the text "3", like the flag --p-in 3: a bad spec, not a traceback
-        cfg.write_text(json.dumps({"p_in": 3}))
-        assert main(["synth", "--config", str(cfg)]) == 1
+        assert main(["synth", args_file(tmp_path, "--p-in 3\n")]) == 1
         assert capsys.readouterr().err.startswith("nblw: error: cannot parse")
+
+    def test_argument_file_equals_flags(self, tmp_path):
+        flags = ["--n", "800", "--alpha", "5,8", "--eta", "0.2", "--kmax", "5",
+                 "--p-in", "gaussian:0.5:1", "--method", "both", "--reps", "2"]
+        cfg = args_file(tmp_path, "# a two-point sweep\n--n 800 --alpha '5,8'  # grid\n"
+                                  "\n--eta 0.2 --kmax 5\n--p-in \"gaussian:0.5:1\"\n"
+                                  "--method both --reps 2\n")
+        code, by_file = run_cli(["synth", cfg])
+        assert code == 0
+        assert by_file.encode() == run_cli(["synth", *flags])[1].encode()
+
+    def test_missing_argument_file_is_one_line_error(self, tmp_path, capsys):
+        assert main(["synth", f"@{tmp_path / 'none.args'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nblw: error: ") and "none.args" in err and err.count("\n") == 1
 
     def test_seeds_with_reps_flag(self, capsys):
         code = main(["synth", "--n", "500", "--seeds", "5", "--reps", "3"])
         assert code == 1 and "--reps" in capsys.readouterr().err
 
     def test_seeds_with_reps_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"reps": 3}))
-        code = main(["synth", "--config", str(cfg), "--n", "500", "--seeds", "5"])
+        cfg = args_file(tmp_path, "--reps 3\n")
+        code = main(["synth", cfg, "--n", "500", "--seeds", "5"])
         assert code == 1 and "--reps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -408,14 +420,33 @@ READS = {
 }
 SWITCHES = {"timings", "json", "header"}
 # the messages other than "does not read" that the CLI prints as its one
-# error line: argparse's own, then the range checks of the count options
+# error line, by command line: argparse's own, then the bounds of the count
+# options
 PARSE_ERRORS = {
-    "--n": "argument --n: expected one argument",
-    "--alpha": "argument --alpha: expected one argument",
-    "command": "the following arguments are required: command",
-    "--reps": "--reps must be at least 1",
-    "--knn": "--knn must be at least 0",
-    "--de-pop": "--de-pop must be at least 0",
+    "synth --n": "argument --n: expected one argument",
+    "theory --alpha": "argument --alpha: expected one argument",
+    "": "the following arguments are required: command",
+    "synth --reps abc": "argument --reps: invalid int value: 'abc'",
+    "synth --n 300.5": "argument --n: invalid int value: '300.5'",
+    "synth --n [1]": "argument --n: invalid int value: '[1]'",
+    "synth --n True": "argument --n: invalid int value: 'True'",
+    "synth --seeds 1,x": "argument --seeds: invalid int value: 'x'",
+    "synth --alpha ": "argument --alpha: invalid finite float value: ''",
+    "synth --eta ": "argument --eta: invalid finite float value: ''",
+    "theory --alpha nan": "argument --alpha: invalid finite float value: 'nan'",
+    "theory --alpha inf": "argument --alpha: invalid finite float value: 'inf'",
+    "theory --eta 0.1,0.2": "argument --eta: invalid finite float value: '0.1,0.2'",
+    "cluster --blob-sigma x": "argument --blob-sigma: invalid finite float value: 'x'",
+    "cluster --blob-sigma nan": "argument --blob-sigma: invalid finite float value: 'nan'",
+    "synth --timings=1": "argument --timings: ignored explicit argument '1'",
+    "synth --json=yes": "argument --json: ignored explicit argument 'yes'",
+    "cluster --reps 0": "--reps must be at least 1",
+    "synth --reps 0": "--reps must be at least 1",
+    "synth --reps -1": "--reps must be at least 1",
+    "cluster --knn -2": "--knn must be at least 0",
+    "theory --kmax -1": "--kmax must be at least 0",
+    "theory --de-pop -5": "--de-pop must be 0 or at least 2",
+    "theory --de-pop 1": "--de-pop must be 0 or at least 2",
 }
 UNREAD = [(cmd, key) for cmd in READS
           for key in sorted(set().union(*READS.values()) - READS[cmd])]
@@ -432,13 +463,13 @@ class TestOptionTables:
 
     @pytest.mark.parametrize("command, key", UNREAD)
     def test_unread_config_key_is_one_line_error(self, tmp_path, capsys, command, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: True if key in SWITCHES else "3"}))
-        code = main([command, "--config", str(cfg)])
+        # the same option in an argument file gives the same line as the flag
+        flag = "--" + key.replace("_", "-")
+        cfg = args_file(tmp_path, flag + ("" if key in SWITCHES else " 3") + "\n")
+        code = main([command, cfg])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("nblw: error: unknown config keys")
-        assert repr(key) in err and err.count("\n") == 1
+        assert err == f"nblw: error: {command} does not read {flag}\n"
 
     @pytest.mark.parametrize("command", sorted(READS))
     def test_help_lists_exactly_the_table(self, capsys, command):
@@ -446,8 +477,7 @@ class TestOptionTables:
             main([command, "--help"])
         assert exit_info.value.code == 0
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-        assert flags == {"--help", "--config"} | {
-            "--" + key.replace("_", "-") for key in READS[command]}
+        assert flags == {"--help"} | {"--" + key.replace("_", "-") for key in READS[command]}
 
     @pytest.mark.parametrize("argv, flag", [
         (["synth", "--kmx=3"], "--kmx"),
@@ -461,10 +491,27 @@ class TestOptionTables:
         (["synth", "--reps", "-1"], "--reps"),
         (["cluster", "--knn", "-2"], "--knn"),
         (["theory", "--de-pop", "-5"], "--de-pop"),
+        (["synth", "--reps", "abc"], "--reps"),   # values of the wrong type
+        (["synth", "--n", "300.5"], "--n"),
+        (["synth", "--n", "[1]"], "--n"),
+        (["synth", "--n", "True"], "--n"),
+        (["synth", "--seeds", "1,x"], "--seeds"),
+        (["synth", "--alpha", ""], "--alpha"),  # an empty list
+        (["synth", "--eta", ""], "--eta"),
+        (["theory", "--alpha", "nan"], "--alpha"),
+        (["theory", "--alpha", "inf"], "--alpha"),
+        (["theory", "--eta", "0.1,0.2"], "--eta"),  # one number
+        (["cluster", "--blob-sigma", "x"], "--blob-sigma"),
+        (["cluster", "--blob-sigma", "nan"], "--blob-sigma"),
+        (["synth", "--timings=1"], "--timings"),
+        (["synth", "--json=yes"], "--json"),
+        (["theory", "--kmax", "-1"], "--kmax"),
+        (["theory", "--de-pop", "1"], "--de-pop"),
     ])
     def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
         assert main(argv) == 1
-        want = PARSE_ERRORS.get(flag) or f"{argv[0]} does not read {flag}"
+        want = PARSE_ERRORS.get(" ".join(argv)) or f"{argv[0]} does not read {flag}"
+        assert flag in want
         assert capsys.readouterr().err == f"nblw: error: {want}\n"
 
     @pytest.mark.parametrize("kind, key", [
@@ -476,9 +523,7 @@ class TestOptionTables:
         want = f"nblw: error: cluster --dataset {kind} does not read {flag}\n"
         assert main(["cluster", "--dataset", kind, flag, "3"]) == 1
         assert capsys.readouterr().err == want
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dataset": kind, key: "3"}))
-        assert main(["cluster", "--config", str(cfg)]) == 1
+        assert main(["cluster", args_file(tmp_path, f"--dataset {kind}\n{flag} 3\n")]) == 1
         assert capsys.readouterr().err == want
 
 

@@ -111,6 +111,11 @@ class TestReadCsvVectors:
         path.write_text("1,2,0\n3,oops,1\n")
         with pytest.raises(ValueError):
             read_csv_vectors(path)
+        # a nan or infinite vector cell would make the calibrated bandwidth nan
+        for cell in ("nan", "inf", "-inf"):
+            path.write_text(f"1,2,0\n3,4,1\n5,{cell},1\n")
+            with pytest.raises(ValueError, match=f"text.csv: value {cell} of data row 3 "):
+                read_csv_vectors(path)
 
     @pytest.mark.parametrize("label", ["0.7", "-0.5", "nan", "inf"])
     def test_non_integer_label_names_the_file(self, tmp_path, label):
@@ -166,6 +171,13 @@ class TestPairSimilarity:
         pts = np.random.default_rng(6).standard_normal((500, 2))
         with pytest.raises(ValueError, match="unknown metric 'manhattan'"):
             subsample_and_weight(pts, 1e-9, "manhattan", np.random.default_rng(0))
+        # a non-finite coordinate makes the bandwidth nan, and so every
+        # similarity 1 and every centered weight 0
+        one_nan = pts.copy()
+        one_nan[7, 1] = np.nan
+        for bad in (np.full((50, 3), np.inf), one_nan):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="bandwidth"):
+                subsample_and_weight(bad, 5.0, "euclidean", np.random.default_rng(0))
 
 
 class TestCalibrateSigma:

@@ -90,6 +90,11 @@ class TestSnrRecursion:
         assert np.all(np.diff(above)[strictly[:-1]] < 0)
         assert np.all(np.diff(above) <= 0) and above[-1] >= fp - 1e-12
 
+    @pytest.mark.parametrize("tau, k", [(np.inf, 3), (np.nan, 3), (-1.0, 3), (2.0, -1)])
+    def test_rejects_bad_tau_or_k(self, tau, k):
+        with pytest.raises(ValueError, match="tau|k must"):
+            snr_recursion(tau, 0.1, k)
+
 
 class TestChernoffRecursion:
     def test_subthreshold_uninformative(self):
@@ -114,6 +119,11 @@ class TestChernoffRecursion:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             chernoff_recursion(4.0, 0.5, 5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tau, k", [(np.inf, 3), (np.nan, 3), (-1.0, 3), (2.0, -1)])
+    def test_rejects_bad_tau_or_k(self, tau, k):
+        with pytest.raises(ValueError, match="tau|k must"):
+            chernoff_recursion(tau, 0.1, k, 0.5, 1.25)
 
 
 class TestEnvelopeSequences:
@@ -142,6 +152,12 @@ class TestEnvelopeSequences:
     def test_hypothesis_violation(self):
         with pytest.raises(ValueError, match="alpha"):
             mgf_envelope_sequences(1.0, 0.5, 2.0, 0.5, 3)
+        for alpha, delta, sigma2 in [(np.inf, 0.5, 0.6), (np.nan, 0.5, 0.6),
+                                     (4.0, np.inf, 0.6), (4.0, 0.5, np.inf)]:
+            with pytest.raises(ValueError, match="finite alpha"):
+                mgf_envelope_sequences(alpha, delta, sigma2, 0.3, 3)
+        with pytest.raises(ValueError, match="k must"):
+            mgf_envelope_sequences(4.0, 0.5, 0.6, 0.3, -1)
 
     def test_sequences_increasing_under_hypotheses(self):
         a, b, _ = mgf_envelope_sequences(4.0, 0.5, 0.6, 0.3, 10)
