@@ -18,7 +18,6 @@ from .graph import (
 from .model import (
     Gaussian,
     LabeledDataset,
-    Mixture,
     ModelSpec,
     PointMass,
     Uniform,

@@ -38,6 +38,7 @@ from .graph import center_weights
 from .ingest import load_mnist_subset, read_csv_vectors, subsample_and_weight
 from .label_prop import label_propagation, sparsify_knn
 from .model import (
+    Gaussian,
     LabeledDataset,
     ModelSpec,
     dataset_from_truth,
@@ -158,24 +159,15 @@ def _row(opts, provenance, accs, se, t_sample, t_iter) -> dict:
     return dict(zip(CSV_HEADER, (*provenance, *accs, se, *phases)))
 
 
-def _methods(name: str) -> list[str]:
-    if name == "both":
-        return ["nblw", "lp"]
-    if name in ("nblw", "lp"):
-        return [name]
-    raise ValueError(f"unknown method {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(opts) -> list[dict]:
-    p_in = parse_distribution(opts["p_in"])
-    p_out = parse_distribution(opts["p_out"])
+    p_in, p_out = opts["p_in"], opts["p_out"]
     n, q, kmax, reps = opts["n"], opts["q"], opts["kmax"], opts["reps"]
-    methods = _methods(opts["method"])
+    methods = _METHODS[opts["method"]]
     dataset = "synth#" + _hash12(f"n={n} q={q} pin={p_in!r} pout={p_out!r}")
 
     grid = [(a, e) for a in opts["alpha"] for e in opts["eta"]]
@@ -201,10 +193,7 @@ def _load_points(opts):
     """Returns (points, truth 0-based, q, dataset descriptor)."""
     kind = opts["dataset"]
     if kind == "blobs":
-        centers = [
-            [float(c) for c in grp.split(":")] for grp in opts["blob_centers"].split(";")
-        ]
-        n, sigma = opts["n"], opts["blob_sigma"]
+        centers, n, sigma = opts["blob_centers"], opts["n"], opts["blob_sigma"]
         rng = np.random.default_rng(opts["data_seed"])
         points, truth = gaussian_blobs(n, centers, sigma, rng)
         desc = f"blobs:n={n}:sigma={sigma}:centers={centers}:seed={opts['data_seed']}"
@@ -214,18 +203,16 @@ def _load_points(opts):
         points, truth = load_mnist_subset(opts["mnist_images"], opts["mnist_labels"], digits)
         tag = f"mnist{''.join(map(str, digits))}#" + _file_hash12(opts["mnist_images"])
         return points, truth, len(digits), tag
-    if kind == "csv":
-        points, truth = read_csv_vectors(opts["path"], header=opts["header"])
-        values, truth = np.unique(truth, return_inverse=True)
-        return points, truth, len(values), "csv#" + _file_hash12(opts["path"])
-    raise ValueError(f"unknown dataset {kind!r}")
+    points, truth = read_csv_vectors(opts["path"], header=opts["header"])
+    values, truth = np.unique(truth, return_inverse=True)
+    return points, truth, len(values), "csv#" + _file_hash12(opts["path"])
 
 
 def cmd_cluster(opts) -> list[dict]:
     points, truth, q, dataset = _load_points(opts)
     n = points.shape[0]
     kmax, reps, master = opts["kmax"], opts["reps"], opts["seed"]
-    methods = _methods(opts["method"])
+    methods = _METHODS[opts["method"]]
 
     grid = [(a, e) for a in opts["alpha"] for e in opts["eta"]]
     rows = []
@@ -254,14 +241,9 @@ def cmd_cluster(opts) -> list[dict]:
 
 
 def cmd_theory(opts) -> list[dict]:
-    p_in = parse_distribution(opts["p_in"])
-    p_out = parse_distribution(opts["p_out"])
+    p_in, p_out = opts["p_in"], opts["p_out"]
     eta, kmax, de_pop, alphas = opts["eta"], opts["kmax"], opts["de_pop"], opts["alpha"]
-    weights = {"center": lambda: centered_weight(p_in, p_out), "identity": identity_weight,
-               "optimal": lambda: optimal_weight(p_in, p_out)}
-    if opts["weight"] not in weights:
-        raise ValueError(f"unknown weight {opts['weight']!r}")
-    w = weights[opts["weight"]]()
+    w = _WEIGHTS[opts["weight"]](p_in, p_out)
     # word 0 seeds the density-evolution graphs, word 2 * ai + 1 alpha ai's Monte Carlo
     words = split_seed(opts["seed"], 2 * len(alphas))
     rows = []
@@ -294,7 +276,7 @@ _SWEEP = {
     "n": 10000, "alpha": [5.0], "eta": [0.1], "kmax": DEFAULT_KMAX, "reps": 1,
     "method": "nblw", "seed": 0, "out": "-", "knn": 3, "timings": False, "json": False,
 }
-_LAWS = {"p_in": "gaussian:0.5:1", "p_out": "gaussian:-0.5:1"}
+_LAWS = {"p_in": Gaussian(0.5, 1.0), "p_out": Gaussian(-0.5, 1.0)}
 
 # the least value of each count option; --knn 0 keeps every edge for LP
 _AT_LEAST = {"reps": 1, "knn": 0, "kmax": 0}
@@ -306,12 +288,21 @@ _DATASET_OPTIONS = {
     "csv": {"path", "header"},
 }
 
+# the methods each --method runs, and the maker of each --weight from the laws
+_METHODS = {"nblw": ["nblw"], "lp": ["lp"], "both": ["nblw", "lp"]}
+_WEIGHTS = {"center": centered_weight, "identity": lambda p_in, p_out: identity_weight(),
+            "optimal": optimal_weight}
+
+# the options whose value is one of a few words
+_CHOICES = {"method": _METHODS, "weight": _WEIGHTS, "dataset": _DATASET_OPTIONS,
+            "metric": ("euclidean", "cosine")}
+
 # name -> (command, CSV header, the options it reads with their defaults)
 COMMANDS = {
     "synth": (cmd_synth, CSV_HEADER, {**_SWEEP, "q": 2, "seeds": [], **_LAWS}),
     "cluster": (cmd_cluster, CSV_HEADER, {
         **_SWEEP, "dataset": "blobs", "metric": "euclidean",
-        "blob_centers": "-3:0;3:0", "blob_sigma": 1.0, "data_seed": 0,
+        "blob_centers": [[-3.0, 0.0], [3.0, 0.0]], "blob_sigma": 1.0, "data_seed": 0,
         "digits": [0, 1], "mnist_images": "", "mnist_labels": "", "path": "", "header": False}),
     "theory": (cmd_theory, THEORY_HEADER, {
         **{k: _SWEEP[k] for k in ("alpha", "kmax", "seed", "out", "json")}, "eta": 0.1,
@@ -331,11 +322,32 @@ def _scalar(kind, text: str):
     raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
 
 
+def _law(text: str):
+    """A similarity law from its spec, as :func:`nblw.model.parse_distribution` reads it."""
+    try:
+        return parse_distribution(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _centers(text: str) -> list[list[float]]:
+    """Two or more points ``X:Y;X:Y`` of finite coordinates and one dimension."""
+    centers = [[_scalar(float, x) for x in center.split(":")] for center in text.split(";")]
+    if len(centers) < 2 or len({len(center) for center in centers}) > 1:
+        raise argparse.ArgumentTypeError(f"need two or more centers of one dimension: {text!r}")
+    return centers
+
+
 def _reader(default):
-    """The argparse type of an option with this table default.  A list
+    """The argparse type of an option with this table default.  A law
+    reads a distribution spec, and a list of lists reads points.  A list
     reads comma-separated items of its first item's type; the empty list of
     ``seeds`` reads integers and may be given empty."""
+    if isinstance(default, Gaussian):
+        return _law
     if isinstance(default, list):
+        if default and isinstance(default[0], list):
+            return _centers
         item = _reader(default[0] if default else 0)
         return lambda text: [item(x) for x in text.split(",")] if text or default else []
     if isinstance(default, str):
@@ -352,7 +364,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
     def convert_arg_line_to_args(self, arg_line):
-        return shlex.split(arg_line, comments=True)
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in argument file line {arg_line!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if isinstance(default, bool):
                 p.add_argument(flag, action="store_const", const=True)
             else:
-                p.add_argument(flag, type=_reader(default))
+                p.add_argument(flag, type=_reader(default), choices=_CHOICES.get(key))
     return parser
 
 

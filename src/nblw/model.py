@@ -6,10 +6,11 @@ of them is revealed, an Erdos-Renyi graph picks which pairs are compared
 similarity from ``p_in`` or ``p_out`` according to whether the endpoints
 share a label.  Everything is a pure function of the seed.
 
-Distribution handles carry an RNG-backed ``sample`` and, where available,
-analytic ``mean``/``second_moment`` (used by the theory module to avoid
-Monte Carlo) and a pointwise ``pdf`` (used by the optimal-weighting
-quadrature).
+Every similarity law handle has finite parameters, an RNG-backed
+``sample``, the analytic ``mean``/``second_moment`` behind the theory
+module's exact moments, and a ``mass_interval`` holding all but 1e-8 of
+its mass.  Each but the point mass, which has no density, has the
+pointwise ``pdf`` that the optimal weighting reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Gaussian",
     "PointMass",
     "Uniform",
-    "Mixture",
     "parse_distribution",
     "ModelSpec",
     "LabeledDataset",
@@ -51,8 +51,8 @@ class Gaussian:
     var: float = 1.0
 
     def __post_init__(self):
-        if self.var < 0:
-            raise ValueError("variance must be nonnegative")
+        if not (math.isfinite(self.mu) and 0 <= self.var < math.inf):
+            raise ValueError("need a finite mean and a finite nonnegative variance")
 
     def sample(self, rng, size):
         return rng.normal(self.mu, math.sqrt(self.var), size)
@@ -69,10 +69,10 @@ class Gaussian:
             2 * math.pi * self.var
         )
 
-    def mass_interval(self, eps=1e-8):
+    def mass_interval(self):
         from scipy.special import ndtri
 
-        z = float(ndtri(1 - eps / 2))
+        z = float(ndtri(1 - 1e-8 / 2))
         sd = math.sqrt(self.var)
         return (self.mu - z * sd, self.mu + z * sd)
 
@@ -80,6 +80,10 @@ class Gaussian:
 @dataclass(frozen=True)
 class PointMass:
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("need a finite value")
 
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=np.float64)
@@ -90,7 +94,7 @@ class PointMass:
     def second_moment(self):
         return self.value**2
 
-    def mass_interval(self, eps=1e-8):
+    def mass_interval(self):
         return (self.value, self.value)
 
 
@@ -100,8 +104,8 @@ class Uniform:
     b: float
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError("need b > a")
+        if not (math.isfinite(self.a) and self.a < self.b < math.inf):
+            raise ValueError("need finite a < b")
 
     def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size)
@@ -116,73 +120,26 @@ class Uniform:
         s = np.asarray(s, dtype=np.float64)
         return np.where((s >= self.a) & (s <= self.b), 1.0 / (self.b - self.a), 0.0)
 
-    def mass_interval(self, eps=1e-8):
+    def mass_interval(self):
         return (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """Finite mixture of other handles, with weights summing to 1."""
-
-    components: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.components) != len(self.weights):
-            raise ValueError("one weight per component")
-        if abs(sum(self.weights) - 1.0) > 1e-9 or min(self.weights) < 0:
-            raise ValueError("weights must be a probability vector")
-
-    def sample(self, rng, size):
-        which = rng.choice(len(self.components), size=size, p=self.weights)
-        out = np.empty(size, dtype=np.float64)
-        for c, comp in enumerate(self.components):
-            mask = which == c
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = comp.sample(rng, cnt)
-        return out
-
-    def mean(self):
-        return sum(w * c.mean() for w, c in zip(self.weights, self.components))
-
-    def second_moment(self):
-        return sum(
-            w * c.second_moment() for w, c in zip(self.weights, self.components)
-        )
-
-    def pdf(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        total = np.zeros_like(s)
-        for w, c in zip(self.weights, self.components):
-            if not hasattr(c, "pdf"):
-                raise AttributeError("all mixture components need a pdf")
-            total += w * c.pdf(s)
-        return total
-
-    def mass_interval(self, eps=1e-8):
-        los, his = zip(*(c.mass_interval(eps) for c in self.components))
-        return (min(los), max(his))
 
 
 def parse_distribution(spec: str):
     """Parse a CLI distribution spec.
 
     Formats: ``gaussian:MU:VAR``, ``gaussian:MU`` (unit variance),
-    ``point:VALUE``, ``uniform:A:B``.
+    ``point:VALUE``, ``uniform:A:B``.  Every fault is a ValueError that
+    quotes the spec.
     """
-    parts = spec.strip().split(":")
-    kind, args = parts[0].lower(), [float(p) for p in parts[1:]]
-    if kind == "gaussian":
-        if len(args) == 1:
-            return Gaussian(args[0])
-        if len(args) == 2:
-            return Gaussian(args[0], args[1])
-    elif kind == "point" and len(args) == 1:
-        return PointMass(args[0])
-    elif kind == "uniform" and len(args) == 2:
-        return Uniform(args[0], args[1])
-    raise ValueError(f"cannot parse distribution spec {spec!r}")
+    kind, *params = spec.strip().split(":")
+    law = {("gaussian", 1): Gaussian, ("gaussian", 2): Gaussian, ("point", 1): PointMass,
+           ("uniform", 2): Uniform}.get((kind.lower(), len(params)))
+    if law is None:
+        raise ValueError(f"cannot parse distribution spec {spec!r}")
+    try:
+        return law(*(float(p) for p in params))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse distribution spec {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

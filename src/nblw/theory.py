@@ -69,18 +69,16 @@ CHERNOFF_TAU_THRESHOLD = 2.5
 
 @dataclass(frozen=True)
 class AffineWeight:
-    """w(s) = scale * (s - shift).
+    """w(s) = s - shift.
 
-    Moments of w under any distribution with analytic first and second
-    moments are themselves analytic, so this is the fast path for the
-    identity and centered weightings.
+    Its moments follow from a law's first and second moments, so this is
+    the exact path for the identity and centered weightings.
     """
 
     shift: float = 0.0
-    scale: float = 1.0
 
     def __call__(self, s):
-        return self.scale * (np.asarray(s, dtype=np.float64) - self.shift)
+        return np.asarray(s, dtype=np.float64) - self.shift
 
 
 @dataclass(frozen=True)
@@ -148,24 +146,19 @@ class WeightStats:
 
 def _analytic_affine_moments(dist, w: AffineWeight):
     m1, m2 = dist.mean(), dist.second_moment()
-    e1 = w.scale * (m1 - w.shift)
-    e2 = w.scale**2 * (m2 - 2 * w.shift * m1 + w.shift**2)
-    return e1, e2
+    return m1 - w.shift, m2 - 2 * w.shift * m1 + w.shift**2
 
 
 def weight_stats(p_in, p_out, w=None, alpha: float = 1.0, rng=None) -> WeightStats:
     """Compute delta, sigma2, mean and tau for a weighting function.
 
-    Affine weightings on distributions with analytic moments are computed
-    exactly; anything else falls back to Monte Carlo with ``MC_SAMPLES``
-    draws per distribution and reported standard errors.
+    Affine weightings are computed exactly from the laws' moments; any
+    other weighting falls back to Monte Carlo with ``MC_SAMPLES`` draws per
+    distribution and reported standard errors.
     """
     if w is None:
         w = identity_weight()
-    analytic = (
-        isinstance(w, AffineWeight)
-        and all(hasattr(d, "mean") and hasattr(d, "second_moment") for d in (p_in, p_out))
-    )
+    analytic = isinstance(w, AffineWeight)
     if analytic:
         e1_in, e2_in = _analytic_affine_moments(p_in, w)
         e1_out, e2_out = _analytic_affine_moments(p_out, w)
@@ -293,8 +286,8 @@ def tau_optimal(alpha: float, p_in, p_out) -> float:
         den = fi + fo
         return (fi - fo) ** 2 / den if den > 0 else 0.0
 
-    lo_i, hi_i = p_in.mass_interval(1e-8)
-    lo_o, hi_o = p_out.mass_interval(1e-8)
+    lo_i, hi_i = p_in.mass_interval()
+    lo_o, hi_o = p_out.mass_interval()
     lo, hi = min(lo_i, lo_o), max(lo_o, hi_o, hi_i)
     breaks = sorted({lo_i, hi_i, lo_o, hi_o} - {lo, hi})
     val, _ = quad(integrand, lo, hi, points=breaks or None, limit=200)

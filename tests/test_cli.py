@@ -372,17 +372,30 @@ class TestConfigAndErrors:
     def test_config_number_for_text_key(self, tmp_path, capsys):
         # read as the text "3", like the flag --p-in 3: a bad spec, not a traceback
         assert main(["synth", args_file(tmp_path, "--p-in 3\n")]) == 1
-        assert capsys.readouterr().err.startswith("nblw: error: cannot parse")
+        assert capsys.readouterr().err.startswith("nblw: error: argument --p-in: cannot parse")
 
     def test_argument_file_equals_flags(self, tmp_path):
         flags = ["--n", "800", "--alpha", "5,8", "--eta", "0.2", "--kmax", "5",
-                 "--p-in", "gaussian:0.5:1", "--method", "both", "--reps", "2"]
+                 "--p-in", "gaussian:0.5:1", "--p-out", "uniform:-1.5:0.5",
+                 "--method", "both", "--reps", "2"]
         cfg = args_file(tmp_path, "# a two-point sweep\n--n 800 --alpha '5,8'  # grid\n"
                                   "\n--eta 0.2 --kmax 5\n--p-in \"gaussian:0.5:1\"\n"
+                                  "--p-out=uniform:-1.5:0.5  # the laws\n"
                                   "--method both --reps 2\n")
         code, by_file = run_cli(["synth", cfg])
         assert code == 0
         assert by_file.encode() == run_cli(["synth", *flags])[1].encode()
+        flags = ["--n", "600", "--alpha", "6", "--blob-centers=-4:0;4:0;0:4", "--method", "both"]
+        cfg = args_file(tmp_path, "--n 600 --alpha 6\n--blob-centers='-4:0;4:0;0:4'\n"
+                                  "--method both\n")
+        code, by_file = run_cli(["cluster", cfg])
+        assert code == 0
+        assert by_file.encode() == run_cli(["cluster", *flags])[1].encode()
+
+    def test_unclosed_quote_in_argument_file_is_one_line_error(self, tmp_path, capsys):
+        assert main(["synth", args_file(tmp_path, "--n 300 \"unclosed\n")]) == 1
+        assert capsys.readouterr().err == ("nblw: error: No closing quotation in argument "
+                                           "file line '--n 300 \"unclosed'\n")
 
     def test_missing_argument_file_is_one_line_error(self, tmp_path, capsys):
         assert main(["synth", f"@{tmp_path / 'none.args'}"]) == 1
@@ -421,7 +434,8 @@ READS = {
 SWITCHES = {"timings", "json", "header"}
 # the messages other than "does not read" that the CLI prints as its one
 # error line, by command line: argparse's own, then the bounds of the count
-# options
+# options, then bad laws and blob centers; of a word outside an option's
+# choices only the start, which argparse words alike in every release
 PARSE_ERRORS = {
     "synth --n": "argument --n: expected one argument",
     "theory --alpha": "argument --alpha: expected one argument",
@@ -447,6 +461,23 @@ PARSE_ERRORS = {
     "theory --kmax -1": "--kmax must be at least 0",
     "theory --de-pop -5": "--de-pop must be 0 or at least 2",
     "theory --de-pop 1": "--de-pop must be 0 or at least 2",
+    "synth --p-in gaussian:x": "argument --p-in: cannot parse distribution spec "
+                               "'gaussian:x': could not convert string to float: 'x'",
+    "cluster --blob-centers 1:x": "argument --blob-centers: invalid finite float value: 'x'",
+    "cluster --blob-centers 1:2;3": "argument --blob-centers: need two or more centers "
+                                    "of one dimension: '1:2;3'",
+    "theory --p-in gaussian:nan": "argument --p-in: cannot parse distribution spec "
+                                  "'gaussian:nan': need a finite mean and a finite "
+                                  "nonnegative variance",
+    "theory --p-in gaussian:0:inf": "argument --p-in: cannot parse distribution spec "
+                                    "'gaussian:0:inf': need a finite mean and a finite "
+                                    "nonnegative variance",
+    "theory --p-in point:nan": "argument --p-in: cannot parse distribution spec "
+                               "'point:nan': need a finite value",
+    "synth --method foo": "argument --method: invalid choice: 'foo'",
+    "theory --weight foo": "argument --weight: invalid choice: 'foo'",
+    "cluster --dataset foo": "argument --dataset: invalid choice: 'foo'",
+    "cluster --metric foo": "argument --metric: invalid choice: 'foo'",
 }
 UNREAD = [(cmd, key) for cmd in READS
           for key in sorted(set().union(*READS.values()) - READS[cmd])]
@@ -507,12 +538,26 @@ class TestOptionTables:
         (["synth", "--json=yes"], "--json"),
         (["theory", "--kmax", "-1"], "--kmax"),
         (["theory", "--de-pop", "1"], "--de-pop"),
+        (["synth", "--p-in", "gaussian:x"], "--p-in"),  # bad laws and centers
+        (["cluster", "--blob-centers", "1:x"], "--blob-centers"),
+        (["cluster", "--blob-centers", "1:2;3"], "--blob-centers"),
+        (["theory", "--p-in", "gaussian:nan"], "--p-in"),
+        (["theory", "--p-in", "gaussian:0:inf"], "--p-in"),
+        (["theory", "--p-in", "point:nan"], "--p-in"),
+        (["synth", "--method", "foo"], "--method"),  # words outside the choices
+        (["theory", "--weight", "foo"], "--weight"),
+        (["cluster", "--dataset", "foo"], "--dataset"),
+        (["cluster", "--metric", "foo"], "--metric"),
     ])
     def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
         assert main(argv) == 1
         want = PARSE_ERRORS.get(" ".join(argv)) or f"{argv[0]} does not read {flag}"
         assert flag in want
-        assert capsys.readouterr().err == f"nblw: error: {want}\n"
+        err = capsys.readouterr().err
+        if "invalid choice" in want:
+            assert err.startswith(f"nblw: error: {want}") and err.count("\n") == 1
+        else:
+            assert err == f"nblw: error: {want}\n"
 
     @pytest.mark.parametrize("kind, key", [
         ("blobs", "path"), ("mnist", "blob_sigma"), ("csv", "digits"),

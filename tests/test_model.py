@@ -9,7 +9,6 @@ from scipy import stats
 from nblw import (
     Gaussian,
     LabeledDataset,
-    Mixture,
     ModelSpec,
     PointMass,
     Uniform,
@@ -258,41 +257,13 @@ class TestSpecsAndParsing:
         assert Gaussian(0.5, 1).second_moment() == pytest.approx(1.25)
         assert PointMass(-2).second_moment() == 4
 
-
-class TestMixture:
-    def test_analytic_moments(self):
-        mix = Mixture((Gaussian(1.0, 1.0), PointMass(-2.0)), (0.25, 0.75))
-        assert mix.mean() == pytest.approx(0.25 * 1.0 + 0.75 * (-2.0))
-        assert mix.second_moment() == pytest.approx(0.25 * 2.0 + 0.75 * 4.0)
-
-    def test_samples_match_analytic_moments(self):
-        mix = Mixture((Gaussian(1.0, 0.5), Uniform(-3.0, -1.0)), (0.4, 0.6))
-        s = mix.sample(np.random.default_rng(0), 10**6)
-        assert abs(s.mean() - mix.mean()) < 3 * s.std(ddof=1) / 1000
-        se2 = (s**2).std(ddof=1) / 1000
-        assert abs((s**2).mean() - mix.second_moment()) < 3 * se2
-
-    def test_pdf_integrates_to_one(self):
-        from scipy.integrate import quad
-
-        mix = Mixture((Gaussian(0.0, 1.0), Gaussian(3.0, 0.25)), (0.5, 0.5))
-        mass, _ = quad(lambda s: float(mix.pdf(s)), *mix.mass_interval(1e-10))
-        assert mass == pytest.approx(1.0, abs=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Mixture((Gaussian(0, 1),), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            Mixture((Gaussian(0, 1), PointMass(1)), (0.7, 0.7))
-
-    def test_usable_as_model_distribution(self):
-        from nblw import run_binary, center_weights, accuracy
-
-        bimodal_in = Mixture((Gaussian(1.0, 0.3), Gaussian(2.0, 0.3)), (0.5, 0.5))
-        bimodal_out = Mixture((Gaussian(-1.0, 0.3), Gaussian(-2.0, 0.3)), (0.5, 0.5))
-        spec = ModelSpec(n=4000, q=2, alpha=10.0, eta=0.1,
-                         p_in=bimodal_in, p_out=bimodal_out, seed=3)
-        g, sims, data = make_instance(spec)
-        g = g.with_pair_weights(center_weights(sims))
-        est, _ = run_binary(g, data, 15, np.random.default_rng(0))
-        assert accuracy(est, data.truth, "all", data.revealed) > 0.95
+    def test_distribution_validation(self):
+        # a zero variance is a point-like Gaussian; a nan or infinite
+        # parameter, a negative variance or an empty interval is refused
+        assert Gaussian(1.0, 0.0).mass_interval() == (1.0, 1.0)
+        nan, inf = float("nan"), float("inf")
+        for law, params in [(Gaussian, (nan,)), (Gaussian, (0.0, inf)), (Gaussian, (0.0, -1.0)),
+                            (PointMass, (nan,)), (PointMass, (-inf,)), (Uniform, (0.0, inf)),
+                            (Uniform, (nan, 1.0)), (Uniform, (1.0, 1.0))]:
+            with pytest.raises(ValueError):
+                law(*params)
