@@ -6,11 +6,12 @@ of them is revealed, an Erdos-Renyi graph picks which pairs are compared
 similarity from ``p_in`` or ``p_out`` according to whether the endpoints
 share a label.  Everything is a pure function of the seed.
 
-Every similarity law handle has finite parameters, an RNG-backed
-``sample``, the analytic ``mean``/``second_moment`` behind the theory
-module's exact moments, and a ``mass_interval`` holding all but 1e-8 of
-its mass.  Each but the point mass, which has no density, has the
-pointwise ``pdf`` that the optimal weighting reads.
+Every similarity law handle has finite parameters and a finite second
+moment, an RNG-backed ``sample``, the analytic ``mean``/``second_moment``
+behind the theory module's exact moments, and a ``mass_interval`` holding
+all but 1e-8 of its mass.  Each but the point mass, which has no density,
+has the pointwise ``pdf`` that the optimal weighting reads; a
+zero-variance Gaussian is a point mass and has no density either.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _check_second_moment(law):
+    """Refuse a law with finite parameters whose second moment overflows
+    (Python's float ``**`` raises OverflowError rather than giving inf)."""
+    try:
+        finite = math.isfinite(law.second_moment())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("need a finite second moment")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mu: float
@@ -53,6 +65,7 @@ class Gaussian:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0 <= self.var < math.inf):
             raise ValueError("need a finite mean and a finite nonnegative variance")
+        _check_second_moment(self)
 
     def sample(self, rng, size):
         return rng.normal(self.mu, math.sqrt(self.var), size)
@@ -84,6 +97,7 @@ class PointMass:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError("need a finite value")
+        _check_second_moment(self)
 
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=np.float64)
@@ -106,6 +120,7 @@ class Uniform:
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a < self.b < math.inf):
             raise ValueError("need finite a < b")
+        _check_second_moment(self)
 
     def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size)

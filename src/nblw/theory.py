@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import Gaussian, ModelSpec
 
 __all__ = [
     "AffineWeight",
@@ -106,9 +106,11 @@ def optimal_weight(p_in, p_out) -> FunctionWeight:
     """The variance-optimal weighting (p_in - p_out) / (p_in + p_out).
 
     Defined as 0 wherever both densities vanish.  Requires pointwise
-    densities on both distribution handles.
+    densities on both distribution handles; a zero-variance Gaussian is a
+    point mass and has none.
     """
-    if not all(hasattr(d, "pdf") for d in (p_in, p_out)):
+    if not all(hasattr(d, "pdf") and not (isinstance(d, Gaussian) and d.var == 0)
+               for d in (p_in, p_out)):
         raise ValueError("optimal weighting needs pointwise densities")
 
     def w(s):
@@ -328,21 +330,40 @@ class DensityEvolutionResult:
     pop: int
 
 
-def _de_sweep(rng, half_alpha, same_pop, other_pop, p_in, p_out, w, pop):
+# Population elements per block of a sweep.  A block's temporaries take
+# O(block * alpha) memory; unblocked, each of the two sweeping threads would
+# hold O(pop * alpha) of them, the worker's in its own malloc arena.
+_DE_BLOCK = 4096
+
+
+def _de_sweep(rng, spec, w, same_pop, other_pop):
     """One resampling sweep: each new element is a Poisson(alpha/2) sum of
     weighted same-cluster messages plus a Poisson(alpha/2) sum of weighted
-    cross-cluster messages, everything drawn with replacement."""
+    cross-cluster messages, everything drawn with replacement.  The new
+    population is drawn ``_DE_BLOCK`` elements at a time."""
+    pop = same_pop.shape[0]
     out = np.zeros(pop)
-    for dist, source in ((p_in, same_pop), (p_out, other_pop)):
-        counts = rng.poisson(half_alpha, size=pop)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        weights = w(dist.sample(rng, total))
-        values = source[rng.integers(0, source.shape[0], size=total)]
-        segments = np.repeat(np.arange(pop), counts)
-        out += np.bincount(segments, weights=weights * values, minlength=pop)
+    for lo in range(0, pop, _DE_BLOCK):
+        b = min(_DE_BLOCK, pop - lo)
+        for dist, source in ((spec.p_in, same_pop), (spec.p_out, other_pop)):
+            counts = rng.poisson(spec.alpha / 2.0, size=b)
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            weights = w(dist.sample(rng, total))
+            # the gather is a fresh array, so the product goes in place
+            values = source[rng.integers(0, source.shape[0], size=total)]
+            values *= weights
+            segments = np.repeat(np.arange(b), counts)
+            out[lo:lo + b] += np.bincount(segments, weights=values, minlength=b)
     return out
+
+
+def _de_init(rng, sign, eta, pop):
+    """The walk's initial messages: ``sign`` with probability eta, otherwise
+    a fair +-1."""
+    revealed = rng.random(pop) < eta
+    return np.where(revealed, sign, (1 - 2 * rng.integers(0, 2, size=pop)).astype(np.float64))
 
 
 def density_evolution(
@@ -354,34 +375,41 @@ def density_evolution(
     source cluster.  Initialization matches the walk: the true value
     (+1 or -1) with probability eta, otherwise a fair +-1.  After k
     message sweeps one further sweep plays the role of the pooling step.
+
+    The two populations are swept on two threads, the positive one in a
+    worker that is started and joined within the call.  Each population
+    draws its initial values and every sweep from its own generator
+    spawned from ``rng`` (``rng.spawn(2)``), so the result depends on the
+    seed only, never on the core count or the threads' timing.  ``w`` and
+    the laws' ``sample`` are called from both threads at once.  These
+    streams replaced one generator shared by both populations, so the
+    estimates for a given seed changed once, with the same distribution.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if spec.q != 2:
         raise ValueError("density evolution is defined for q == 2")
     if pop < 2:
         raise ValueError("population too small")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    half_alpha = spec.alpha / 2.0
 
-    rad = lambda: (1 - 2 * rng.integers(0, 2, size=pop)).astype(np.float64)
-    vp = np.where(rng.random(pop) < spec.eta, 1.0, rad())
-    vm = np.where(rng.random(pop) < spec.eta, -1.0, rad())
+    rp, rm = rng.spawn(2)
+    vp = _de_init(rp, 1.0, spec.eta, pop)
+    vm = _de_init(rm, -1.0, spec.eta, pop)
 
     m1p, m2p = np.empty(k + 1), np.empty(k + 1)
     m1m, m2m = np.empty(k + 1), np.empty(k + 1)
-    for l in range(k + 1):
-        m1p[l], m2p[l] = vp.mean(), (vp**2).mean()
-        m1m[l], m2m[l] = vm.mean(), (vm**2).mean()
-        if l == k:
-            break
-        vp, vm = (
-            _de_sweep(rng, half_alpha, vp, vm, spec.p_in, spec.p_out, w, pop),
-            _de_sweep(rng, half_alpha, vm, vp, spec.p_in, spec.p_out, w, pop),
-        )
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # sweep l = k is the pooling step
+        for l in range(k + 1):
+            m1p[l], m2p[l] = vp.mean(), (vp**2).mean()
+            m1m[l], m2m[l] = vm.mean(), (vm**2).mean()
+            next_p = worker.submit(_de_sweep, rp, spec, w, vp, vm)
+            next_m = _de_sweep(rm, spec, w, vm, vp)
+            vp, vm = next_p.result(), next_m
 
-    pooled_p = _de_sweep(rng, half_alpha, vp, vm, spec.p_in, spec.p_out, w, pop)
-    pooled_m = _de_sweep(rng, half_alpha, vm, vp, spec.p_in, spec.p_out, w, pop)
-    err = 0.5 * (np.mean(pooled_p <= 0.0) + np.mean(pooled_m >= 0.0))
+    err = 0.5 * (np.mean(vp <= 0.0) + np.mean(vm >= 0.0))
     se = math.sqrt(max(err * (1.0 - err), 1.0 / (2 * pop)) / (2 * pop))
     return DensityEvolutionResult(
         error=float(err),

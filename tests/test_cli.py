@@ -28,6 +28,15 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports nblw from this checkout's src."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def rows_of(text):
     reader = csv.DictReader(io.StringIO(text))
     return list(reader)
@@ -287,6 +296,14 @@ class TestTheoryCmd:
         assert float(row["cantelli_bound"]) == 1.0 and float(row["chernoff_bound"]) == 1.0
         assert float(row["de_error"]) > 0.9 and row["cantelli_pass"] == "1"
 
+    def test_zero_variance_gaussian_has_no_density(self):
+        """A zero-variance Gaussian is a point mass: the optimal weighting
+        refuses it with one line, and no numpy warning comes before it."""
+        proc = run_python("-m", "nblw.cli", "theory", "--p-in", "gaussian:0.5:0",
+                          "--weight", "optimal")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "nblw: error: optimal weighting needs pointwise densities\n"
+
     def test_json_output(self):
         code, out = run_cli([
             "theory", "--alpha", "4", "--eta", "0.5", "--json",
@@ -474,6 +491,8 @@ PARSE_ERRORS = {
                                     "nonnegative variance",
     "theory --p-in point:nan": "argument --p-in: cannot parse distribution spec "
                                "'point:nan': need a finite value",
+    "theory --p-in gaussian:1e300": "argument --p-in: cannot parse distribution spec "
+                                    "'gaussian:1e300': need a finite second moment",
     "synth --method foo": "argument --method: invalid choice: 'foo'",
     "theory --weight foo": "argument --weight: invalid choice: 'foo'",
     "cluster --dataset foo": "argument --dataset: invalid choice: 'foo'",
@@ -548,6 +567,7 @@ class TestOptionTables:
         (["theory", "--weight", "foo"], "--weight"),
         (["cluster", "--dataset", "foo"], "--dataset"),
         (["cluster", "--metric", "foo"], "--metric"),
+        (["theory", "--p-in", "gaussian:1e300"], "--p-in"),  # mu^2 overflows
     ])
     def test_misspelled_flag_is_one_line_error(self, capsys, argv, flag):
         assert main(argv) == 1
@@ -644,12 +664,20 @@ class TestResourceScaling:
 def test_import_loads_no_scipy():
     """The three functions that use scipy import it on first call, so
     importing the package or the CLI loads none of it."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, nblw, nblw.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_thread_pool():
+    """density_evolution imports its thread pool on each call, so importing
+    the package or the CLI loads no concurrent.futures module and starts no
+    thread."""
+    code = ("import sys, threading, nblw, nblw.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'), "
+            "threading.active_count())")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 1\n"

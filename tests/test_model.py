@@ -259,11 +259,14 @@ class TestSpecsAndParsing:
 
     def test_distribution_validation(self):
         # a zero variance is a point-like Gaussian; a nan or infinite
-        # parameter, a negative variance or an empty interval is refused
+        # parameter, a negative variance, an empty interval or finite
+        # parameters whose second moment overflows are refused
         assert Gaussian(1.0, 0.0).mass_interval() == (1.0, 1.0)
         nan, inf = float("nan"), float("inf")
         for law, params in [(Gaussian, (nan,)), (Gaussian, (0.0, inf)), (Gaussian, (0.0, -1.0)),
                             (PointMass, (nan,)), (PointMass, (-inf,)), (Uniform, (0.0, inf)),
-                            (Uniform, (nan, 1.0)), (Uniform, (1.0, 1.0))]:
+                            (Uniform, (nan, 1.0)), (Uniform, (1.0, 1.0)),
+                            (Gaussian, (1e300,)), (Gaussian, (1e154, 1e308)),
+                            (PointMass, (-1e300,)), (Uniform, (0.0, 1e300))]:
             with pytest.raises(ValueError):
                 law(*params)

@@ -1,5 +1,7 @@
 """Statistics, recursions, bounds, and the density-evolution oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from nblw import (
     theory_report,
     weight_stats,
 )
+from nblw.theory import _DE_BLOCK
 
 
 class TestWeightStats:
@@ -193,6 +196,13 @@ class TestOptimalWeight:
     def test_needs_densities(self):
         with pytest.raises(ValueError, match="densities"):
             optimal_weight(PointMass(1), PointMass(-1))
+        # a zero-variance Gaussian is a point mass
+        for laws in [(Gaussian(0.5, 0.0), Gaussian(-0.5, 1.0)),
+                     (Gaussian(0.5, 1.0), Gaussian(-0.5, 0.0))]:
+            with pytest.raises(ValueError, match="densities"):
+                optimal_weight(*laws)
+            with pytest.raises(ValueError, match="densities"):
+                tau_optimal(5.0, *laws)
 
 
 class TestSufficientAlpha:
@@ -259,6 +269,41 @@ class TestDensityEvolution:
                          p_in=PointMass(1), p_out=PointMass(0), seed=0)
         with pytest.raises(ValueError, match="q == 2"):
             density_evolution(spec, identity_weight(), 2, pop=100)
+
+    def test_same_seed_same_result(self):
+        """The two populations sweep on two threads, each with its own
+        generator, so a seed fixes every bit of the result."""
+        p_in, p_out = Gaussian(0.5, 1), Gaussian(-0.5, 1)
+        spec = self._spec(alpha=25.0, eta=0.1, p_in=p_in, p_out=p_out)
+        w = centered_weight(p_in, p_out)
+        a, b = (density_evolution(spec, w, 3, pop=3 * _DE_BLOCK + 17,
+                                  rng=np.random.default_rng(7)) for _ in range(2))
+        assert np.array_equal(a.error, b.error) and np.array_equal(a.error_se, b.error_se)
+        for name in ("first_moment", "second_moment", "first_moment_neg", "second_moment_neg"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("pop", [2, _DE_BLOCK - 1, _DE_BLOCK, _DE_BLOCK + 1])
+    def test_every_element_swept(self, pop):
+        """Fully labelled point laws at k = 0: each pooled element is a sum
+        of Poisson(20) + Poisson(20) terms of the right sign, so an element
+        that no block wrote shows up as an error above 0."""
+        spec = self._spec(alpha=40.0)
+        de = density_evolution(spec, identity_weight(), 0, pop=pop,
+                               rng=np.random.default_rng(pop))
+        assert de.pop == pop and de.error == 0.0
+        assert de.first_moment[0] == 1.0 and de.first_moment_neg[0] == -1.0
+
+    def test_weighting_error_propagates_and_joins_worker(self):
+        def broken(s):
+            raise ValueError("broken weighting")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="broken weighting") as info:
+            density_evolution(self._spec(), FunctionWeight(broken), 2, pop=100,
+                              rng=np.random.default_rng(0))
+        # the traceback in ``info`` keeps the call's frame alive, so a worker
+        # left unjoined would still be counted here
+        assert info.value is not None and threading.active_count() == before
 
 
 class TestBoundChecks:
