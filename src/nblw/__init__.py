@@ -35,7 +35,6 @@ from .binary import DEFAULT_KMAX, accuracy, init_messages, power_iterate, run_bi
 from .multiclass import (
     EmptyClusterWarning,
     MulticlassResult,
-    init_messages_class,
     kmeans,
     match_labels,
     run_multiclass,

@@ -4,7 +4,8 @@ Initialize one message per directed edge from the revealed labels
 (unrevealed sources get i.i.d. +-1), iterate the non-backtracking update
 k_max times, pool incoming messages per node, negate the pooled vector if
 it disagrees with the revealed labels on balance, and label each node by
-the sign of its pooled value.
+the sign of its pooled value.  The one-vs-rest init here also starts the
+multi-cluster walk.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .graph import MessageState, WeightedGraph, apply_nb, pool
 from .model import LabeledDataset
-from .multiclass import init_messages_class
 
 __all__ = [
     "init_messages",
@@ -27,14 +27,33 @@ __all__ = [
 DEFAULT_KMAX = 30
 
 
+def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.ndarray:
+    """The one-vs-rest initializations of ``classes``, one row each: out-edges
+    of revealed class-c nodes get +1, out-edges of other revealed nodes -1,
+    the rest i.i.d. +-1.  Rows draw from ``rng`` in turn, in half-edge
+    order; :func:`~nblw.graph.build_graph` stores the pairs in key order,
+    so the draws do not depend on the input pair order."""
+    from_revealed = data.revealed[g.src]
+    src_cls = data.class_indices()[g.src[from_revealed]]
+    X = np.empty((len(classes), g.num_half_edges))
+    for row, c in zip(X, classes):
+        if not 0 <= c < data.q:
+            raise ValueError(f"class index {c} out of range for q={data.q}")
+        # 1 - 2 * draw, made in place to keep one 2m temporary fewer
+        np.multiply(rng.integers(0, 2, size=g.num_half_edges), -2.0, out=row)
+        row += 1.0
+        row[from_revealed] = np.where(src_cls == c, 1.0, -1.0)
+    return X
+
+
 def init_messages(g: WeightedGraph, data: LabeledDataset, rng) -> MessageState:
     """Messages out of a revealed node carry its +-1 label; others are
     i.i.d. Rademacher, independently per half-edge.
 
-    This is the one-vs-rest initializer for class 0 (the +1 class)."""
+    This is the one-vs-rest initialization of class 0 (the +1 class)."""
     if data.q != 2:
         raise ValueError("binary walk needs q == 2 with +-1 labels")
-    return init_messages_class(g, data, 0, rng)
+    return MessageState(_one_vs_rest(g, data, [0], rng)[0])
 
 
 def power_iterate(g: WeightedGraph, state: MessageState, k_max: int) -> MessageState:
@@ -92,13 +111,15 @@ def run_binary(g: WeightedGraph, data: LabeledDataset, k_max: int = DEFAULT_KMAX
 
 
 def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
-    """Fraction of agreeing labels for +-1 assignments.
+    """Fraction of agreeing labels.
 
-    With no revealed labels the two clusters are only identifiable up to
-    a global sign flip, so the flip maximizing agreement is taken; any
-    revealed label breaks that symmetry and the raw agreement is
-    returned.  ``scope`` restricts to ``"all"`` or ``"unlabeled"`` nodes;
-    an empty scope gives nan.
+    With no revealed labels the two clusters of a +-1 assignment are only
+    identifiable up to a global sign flip, so the flip maximizing
+    agreement is taken.  Any revealed label breaks that symmetry, and the
+    raw agreement is returned, in any encoding: the CLI scores q > 2
+    class indices this way, since :func:`~nblw.multiclass.run_multiclass`
+    aligns them with the revealed labels.  ``scope`` restricts to
+    ``"all"`` or ``"unlabeled"`` nodes; an empty scope gives nan.
     """
     est = np.asarray(est)
     truth = np.asarray(truth)

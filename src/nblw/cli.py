@@ -102,25 +102,15 @@ def _fmt(x) -> str:
 def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
     """(acc_all, acc_unlabeled) of an assignment in the dataset's encoding.
 
-    A multiclass assignment is aligned on the revealed nodes (legal: their
-    truth is an input) and raw agreement is reported; with none revealed
-    it is the permutation-maximized agreement.
+    The pipelines align their output with the revealed labels, so raw
+    agreement is reported; a q > 2 assignment with none revealed gets the
+    permutation-maximized agreement.
     """
-    if data.q == 2:
-        return (accuracy(est, data.truth, "all", data.revealed),
-                accuracy(est, data.truth, "unlabeled", data.revealed))
-    truth, rev = data.class_indices(), data.revealed
-    if not rev.any():
-        acc, _ = match_labels(est, truth)
+    if data.q > 2 and not data.revealed.any():
+        acc, _ = match_labels(est, data.class_indices())
         return acc, acc
-    # labels absent from the revealed nodes keep their own index, so the
-    # permutation covers all q labels
-    _, matched = match_labels(est[rev], truth[rev])
-    perm = np.arange(data.q)
-    perm[:len(matched)] = matched
-    hits = perm[est] == truth
-    unlabeled = hits[~rev]
-    return float(np.mean(hits)), float(unlabeled.mean()) if unlabeled.size else float("nan")
+    return (accuracy(est, data.truth, "all", data.revealed),
+            accuracy(est, data.truth, "unlabeled", data.revealed))
 
 
 def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):

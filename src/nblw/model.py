@@ -83,9 +83,8 @@ class Gaussian:
         )
 
     def mass_interval(self):
-        from scipy.special import ndtri
-
-        z = float(ndtri(1 - 1e-8 / 2))
+        # z = ndtri(1 - 1e-8 / 2): the interval holds all but 1e-8 of the mass
+        z = 5.73072886926708
         sd = math.sqrt(self.var)
         return (self.mu - z * sd, self.mu + z * sd)
 

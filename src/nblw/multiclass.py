@@ -7,7 +7,7 @@ with L = cholesky(X X^T), X becomes L^{-1} X.  In the symmetric q-cluster
 model the informative eigenvalue is (q - 1)-fold degenerate, and the block
 converges to its whole eigenspace at once.  Row 0 keeps the direction of
 the binary walk.  The n x (q-1) embedding of the pooled rows is clustered
-with k-means.
+with k-means, and the clusters are relabelled to match the revealed labels.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binary import _one_vs_rest
 from .graph import MessageState, WeightedGraph, nb_multiply, pool
 from .model import LabeledDataset
 
 __all__ = [
     "EmptyClusterWarning",
-    "init_messages_class",
     "MulticlassResult",
     "run_multiclass",
     "kmeans",
@@ -41,35 +41,9 @@ class EmptyClusterWarning(UserWarning):
     """k-means ended with fewer than q non-empty clusters."""
 
 
-def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.ndarray:
-    """The one-vs-rest initializations of ``classes``, one row each, drawn from
-    ``rng`` in turn in half-edge order; the revealed sources serve all rows."""
-    from_revealed = data.revealed[g.src]
-    src_cls = data.class_indices()[g.src[from_revealed]]
-    X = np.empty((len(classes), g.num_half_edges))
-    for row, c in zip(X, classes):
-        if not 0 <= c < data.q:
-            raise ValueError(f"class index {c} out of range for q={data.q}")
-        # 1 - 2 * draw, made in place to keep one 2m temporary fewer
-        np.multiply(rng.integers(0, 2, size=g.num_half_edges), -2.0, out=row)
-        row += 1.0
-        row[from_revealed] = np.where(src_cls == c, 1.0, -1.0)
-    return X
-
-
-def init_messages_class(
-    g: WeightedGraph, data: LabeledDataset, c: int, rng
-) -> MessageState:
-    """One-vs-rest initialization: out-edges of revealed class-c nodes get
-    +1, out-edges of other revealed nodes -1, the rest i.i.d. +-1, drawn
-    in half-edge order.  :func:`~nblw.graph.build_graph` stores the pairs
-    in key order, so the draws do not depend on the input pair order."""
-    return MessageState(_one_vs_rest(g, data, [c], rng)[0])
-
-
 @dataclass
 class MulticlassResult:
-    assignments: np.ndarray          # in 0..q-1
+    assignments: np.ndarray          # in 0..q-1, aligned with the revealed labels
     embedding: np.ndarray            # n x (q-1) pooled rows of the block
     rayleigh: np.ndarray             # per-row quotient x.Bx / x.x of the final block
     log_scales: np.ndarray           # per-row sum of log L_cc over the steps
@@ -109,7 +83,11 @@ def run_multiclass(
 ) -> MulticlassResult:
     """Walk the block of the q - 1 one-vs-rest initializations for
     ``k_max`` orthonormalized steps, pool each row into an embedding
-    column, then k-means the embedding into q clusters.
+    column, then k-means the embedding into q clusters, relabelled so
+    that they agree best with the revealed labels (:func:`match_labels`
+    on the revealed nodes; a class no revealed node carries keeps its
+    index).  With nothing revealed the k-means labels stay as they are.
+    ``q`` must equal ``data.q``.
 
     The initializations draw from ``rng`` class by class, before k-means.
     Row c of the walked block is the direction of B^k x_c with the
@@ -120,8 +98,8 @@ def run_multiclass(
     per-row Rayleigh quotients of the final block show how much signal
     each direction carried.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if q != data.q:
+        raise ValueError(f"q={q} differs from the dataset's q={data.q}")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if rng is None:
@@ -135,6 +113,14 @@ def run_multiclass(
     rayleigh = np.divide(xbx, xx, out=np.zeros_like(xx), where=xx > 0)
     embedding = np.column_stack([pool(g, MessageState(x)) for x in X])
     assignments = kmeans(embedding, q, rng)
+    rev = data.revealed
+    if rev.any():
+        _, matched = match_labels(assignments[rev], data.class_indices()[rev])
+        # labels absent from the revealed nodes keep their own index, so
+        # the permutation covers all q labels
+        perm = np.arange(q)
+        perm[:len(matched)] = matched
+        assignments = perm[assignments]
     return MulticlassResult(
         assignments=assignments,
         embedding=embedding,
@@ -243,6 +229,8 @@ def match_labels(est, truth):
     truth = np.asarray(truth, dtype=np.int64)
     if est.shape != truth.shape:
         raise ValueError("est and truth must have equal length")
+    if est.min(initial=0) < 0 or truth.min(initial=0) < 0:
+        raise ValueError("labels must be class indices 0..q-1, not +-1")
     q = int(max(est.max(), truth.max())) + 1
     confusion = np.zeros((q, q), dtype=np.int64)
     np.add.at(confusion, (est, truth), 1)

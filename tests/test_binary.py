@@ -19,14 +19,13 @@ from nblw import (
     dataset_from_truth,
     gaussian_blobs,
     init_messages,
-    init_messages_class,
     make_instance,
     pool,
     power_iterate,
     run_binary,
     subsample_and_weight,
 )
-from nblw.binary import align_to_labels, decide
+from nblw.binary import _one_vs_rest, align_to_labels, decide
 
 
 def small_instance(seed=0, **kw):
@@ -69,9 +68,9 @@ class TestInitMessages:
         for seed in range(5):
             g, _, data, _ = small_instance(seed=seed)
             a = init_messages(g, data, np.random.default_rng(seed))
-            b = init_messages_class(g, data, 0, np.random.default_rng(seed))
-            assert np.array_equal(a.values, b.values)
-            assert a.values.dtype == b.values.dtype
+            b = _one_vs_rest(g, data, [0], np.random.default_rng(seed))[0]
+            assert np.array_equal(a.values, b)
+            assert a.values.dtype == b.dtype
 
 
 class TestRunBinary:

@@ -13,12 +13,12 @@ from nblw import (
     center_weights,
     dense_nb_matrix,
     draw_er_pairs,
+    init_messages,
     nb_multiply,
     nb_multiply_t,
     pool,
     sparsify_knn,
 )
-from nblw.multiclass import init_messages_class
 
 
 class TestBuildGraph:
@@ -170,7 +170,7 @@ class TestBuildGraphLayout:
         g = build_graph(n, pairs, weights)
         data = LabeledDataset(truth=np.ones(n, dtype=np.int64),
                               revealed=np.zeros(n, dtype=bool), n=n, q=2)
-        values = init_messages_class(g, data, 0, np.random.default_rng(n)).values
+        values = init_messages(g, data, np.random.default_rng(n)).values
         draws = 1 - 2 * np.random.default_rng(n).integers(0, 2, size=g.num_half_edges)
         lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
         order = np.lexsort((hi, lo, g.src > g.dst))

@@ -257,6 +257,13 @@ class TestSpecsAndParsing:
         assert Gaussian(0.5, 1).second_moment() == pytest.approx(1.25)
         assert PointMass(-2).second_moment() == 4
 
+    def test_gaussian_mass_interval_constant(self):
+        """The literal z in ``Gaussian.mass_interval`` is scipy's value."""
+        from scipy.special import ndtri
+
+        z = float(ndtri(1 - 1e-8 / 2))
+        assert Gaussian(0.0, 1.0).mass_interval() == (-z, z)
+
     def test_distribution_validation(self):
         # a zero variance is a point-like Gaussian; a nan or infinite
         # parameter, a negative variance, an empty interval or finite

@@ -14,13 +14,13 @@ from nblw import (
     accuracy,
     build_graph,
     center_weights,
-    init_messages_class,
     kmeans,
     make_instance,
     match_labels,
     run_binary,
     run_multiclass,
 )
+from nblw.binary import _one_vs_rest
 from nblw.multiclass import _kmeans_pp_centers, _lloyd, _orthonormal_walk
 
 
@@ -32,26 +32,26 @@ class TestInitMessagesClass:
 
     def test_all_revealed_one_vs_rest(self):
         g, _, data = self._instance(eta=1.0)
-        state = init_messages_class(g, data, 1, np.random.default_rng(0))
+        x = _one_vs_rest(g, data, [1], np.random.default_rng(0))[0]
         expected = np.where(data.class_indices()[g.src] == 1, 1.0, -1.0)
-        assert np.array_equal(state.values, expected)
+        assert np.array_equal(x, expected)
 
     def test_eta_zero_pure_rademacher(self):
         g, _, data = self._instance(eta=0.0, seed=1)
-        state = init_messages_class(g, data, 0, np.random.default_rng(1))
-        assert set(np.unique(state.values)) <= {-1.0, 1.0}
-        assert abs(state.values.mean()) < 3 / np.sqrt(g.num_half_edges)
+        x = _one_vs_rest(g, data, [0], np.random.default_rng(1))[0]
+        assert set(np.unique(x)) <= {-1.0, 1.0}
+        assert abs(x.mean()) < 3 / np.sqrt(g.num_half_edges)
 
     def test_deterministic(self):
         g, _, data = self._instance(eta=0.3, seed=2)
-        a = init_messages_class(g, data, 2, np.random.default_rng(7))
-        b = init_messages_class(g, data, 2, np.random.default_rng(7))
-        assert np.array_equal(a.values, b.values)
+        a = _one_vs_rest(g, data, [2], np.random.default_rng(7))[0]
+        b = _one_vs_rest(g, data, [2], np.random.default_rng(7))[0]
+        assert np.array_equal(a, b)
 
     def test_class_out_of_range(self):
         g, _, data = self._instance(eta=0.3)
         with pytest.raises(ValueError, match="class index"):
-            init_messages_class(g, data, 3, np.random.default_rng(0))
+            _one_vs_rest(g, data, [3], np.random.default_rng(0))
 
 
 class TestRunMulticlass:
@@ -77,6 +77,25 @@ class TestRunMulticlass:
         acc, _ = match_labels(res.assignments, data.class_indices())
         assert acc >= 0.95
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_assignments_aligned_with_revealed_labels(self, seed):
+        """The k-means clusters come back under the revealed labels' class
+        indices, so the revealed nodes get their own class."""
+        spec = ModelSpec(n=4000, q=4, alpha=20.0, eta=0.1,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=seed)
+        g, sims, data = make_instance(spec)
+        g = g.with_pair_weights(center_weights(sims))
+        res = run_multiclass(g, data, 4, 15, np.random.default_rng(seed))
+        rev = data.revealed
+        assert np.mean(res.assignments[rev] == data.class_indices()[rev]) >= 0.95
+
+    def test_q_must_match_dataset(self):
+        spec = ModelSpec(n=300, q=3, alpha=6.0, eta=0.2,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=0)
+        g, _, data = make_instance(spec)
+        with pytest.raises(ValueError, match="q=2 differs"):
+            run_multiclass(g, data, 2, 3, np.random.default_rng(0))
+
     def test_kmax_zero_all_revealed_embedding(self):
         """With no iterations the embedding columns are the pooled
         one-vs-rest initializations."""
@@ -100,8 +119,8 @@ class TestRunMulticlass:
         res = run_multiclass(g, data, 4, 0, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         for c in range(3):
-            init = init_messages_class(g, data, c, rng)
-            assert np.array_equal(res.embedding[:, c], pool(g, init))
+            init = _one_vs_rest(g, data, [c], rng)[0]
+            assert np.array_equal(res.embedding[:, c], pool(g, MessageState(init)))
 
     def test_rayleigh_ordering_with_spectral_gap(self):
         """On a model whose common mode dominates the class mode, row 0 of
@@ -308,6 +327,16 @@ class TestMatchLabels:
         truth = np.array([0, 1, 2, 1, 0])
         acc, perm = match_labels(truth, truth)
         assert acc == 1.0 and tuple(perm) == (0, 1, 2)
+
+    def test_refuses_plus_minus_one_labels(self):
+        """A -1 label would wrap onto the last confusion row and score
+        1.0 where the best agreement is 2/3."""
+        est = np.array([1, -1, -1, 1, 1, -1])
+        truth = np.array([1, 1, -1, -1, 1, -1])
+        with pytest.raises(ValueError, match="class indices"):
+            match_labels(est, truth)
+        with pytest.raises(ValueError, match="class indices"):
+            match_labels(np.ones(6, dtype=np.int64), truth)
 
     def test_large_q_uses_assignment_solver(self):
         rng = np.random.default_rng(2)
