@@ -31,14 +31,8 @@ from .model import (
     parse_distribution,
     split_seed,
 )
-from .binary import DEFAULT_KMAX, accuracy, init_messages, power_iterate, run_binary
-from .multiclass import (
-    EmptyClusterWarning,
-    MulticlassResult,
-    kmeans,
-    match_labels,
-    run_multiclass,
-)
+from .binary import DEFAULT_KMAX, accuracy, init_messages, match_labels, power_iterate, run_binary
+from .multiclass import EmptyClusterWarning, MulticlassResult, kmeans, run_multiclass
 from .theory import (
     AffineWeight,
     BoundCheck,

@@ -5,10 +5,12 @@ Initialize one message per directed edge from the revealed labels
 k_max times, pool incoming messages per node, negate the pooled vector if
 it disagrees with the revealed labels on balance, and label each node by
 the sign of its pooled value.  The one-vs-rest init here also starts the
-multi-cluster walk.
+multi-cluster walk, and :func:`accuracy` scores the labels of both.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "power_iterate",
     "run_binary",
     "accuracy",
+    "match_labels",
     "DEFAULT_KMAX",
 ]
 
@@ -111,15 +114,16 @@ def run_binary(g: WeightedGraph, data: LabeledDataset, k_max: int = DEFAULT_KMAX
 
 
 def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
-    """Fraction of agreeing labels.
+    """Fraction of agreeing labels, in any encoding.
 
-    With no revealed labels the two clusters of a +-1 assignment are only
-    identifiable up to a global sign flip, so the flip maximizing
-    agreement is taken.  Any revealed label breaks that symmetry, and the
-    raw agreement is returned, in any encoding: the CLI scores q > 2
-    class indices this way, since :func:`~nblw.multiclass.run_multiclass`
-    aligns them with the revealed labels.  ``scope`` restricts to
-    ``"all"`` or ``"unlabeled"`` nodes; an empty scope gives nan.
+    Any revealed label names the clusters, and the pipelines align their
+    output with the revealed labels, so then the raw agreement is
+    returned.  With none revealed the clusters are named only up to a
+    relabelling, and the best agreement over relabellings of ``est`` is
+    returned: :func:`match_labels` on the labels as indices into their
+    sorted distinct values (for +-1 labels, the better of ``est`` and its
+    global sign flip).  ``scope`` restricts to ``"all"`` or
+    ``"unlabeled"`` nodes; an empty scope gives nan.
     """
     est = np.asarray(est)
     truth = np.asarray(truth)
@@ -136,7 +140,40 @@ def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
         raise ValueError(f"unknown scope {scope!r}")
     if not keep.any():
         return float("nan")
-    agree = float(np.mean(est[keep] == truth[keep]))
-    if not revealed.any():
-        return max(agree, 1.0 - agree)
-    return agree
+    if revealed.any():
+        return float(np.mean(est[keep] == truth[keep]))
+    # est and truth as indices into their joint sorted values
+    _, index = np.unique(np.concatenate([est[keep], truth[keep]]), return_inverse=True)
+    return match_labels(*np.split(index, 2))[0]
+
+
+def match_labels(est, truth):
+    """Best accuracy over relabelings of ``est`` (labels in 0..q-1).
+
+    Exhaustive over permutations for q <= 6, Hungarian assignment on the
+    confusion matrix above.  Returns (accuracy, permutation) where
+    permutation[c] is the truth label assigned to est label c.
+    """
+    est = np.asarray(est, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if est.shape != truth.shape:
+        raise ValueError("est and truth must have equal length")
+    if est.min(initial=0) < 0 or truth.min(initial=0) < 0:
+        raise ValueError("labels must be class indices 0..q-1, not +-1")
+    q = int(max(est.max(), truth.max())) + 1
+    confusion = np.zeros((q, q), dtype=np.int64)
+    np.add.at(confusion, (est, truth), 1)
+    if q <= 6:
+        best_perm, best_hits = None, -1
+        for perm in itertools.permutations(range(q)):
+            hits = int(confusion[np.arange(q), perm].sum())
+            if hits > best_hits:
+                best_perm, best_hits = perm, hits
+    else:
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(confusion, maximize=True)
+        perm = np.empty(q, dtype=np.int64)
+        perm[rows] = cols
+        best_perm, best_hits = tuple(perm), int(confusion[rows, cols].sum())
+    return best_hits / est.shape[0], best_perm

@@ -6,8 +6,9 @@ run).  Results go to a flat CSV; every row carries its (seed, alpha, eta,
 kmax, method, dataset-hash) provenance, so re-running a row's tuple
 reproduces its accuracy exactly.  The walk rows call the library's
 pipelines, :func:`nblw.binary.run_binary` (q = 2) and
-:func:`nblw.multiclass.run_multiclass` (q > 2); ``--timings`` fills the
-phase columns.
+:func:`nblw.multiclass.run_multiclass` (q > 2), and every method's labels
+are scored by :func:`nblw.binary.accuracy`; ``--timings`` fills the phase
+columns.
 
 Each subcommand reads the options of its table in ``COMMANDS`` as long
 flags, each converted once to the type of its table default; any other
@@ -47,7 +48,7 @@ from .model import (
     parse_distribution,
     split_seed,
 )
-from .multiclass import match_labels, run_multiclass
+from .multiclass import run_multiclass
 from .theory import (
     centered_weight,
     check_error_bounds,
@@ -99,23 +100,11 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _accuracies(est, data: LabeledDataset) -> tuple[float, float]:
-    """(acc_all, acc_unlabeled) of an assignment in the dataset's encoding.
-
-    The pipelines align their output with the revealed labels, so raw
-    agreement is reported; a q > 2 assignment with none revealed gets the
-    permutation-maximized agreement.
-    """
-    if data.q > 2 and not data.revealed.any():
-        acc, _ = match_labels(est, data.class_indices())
-        return acc, acc
-    return (accuracy(est, data.truth, "all", data.revealed),
-            accuracy(est, data.truth, "unlabeled", data.revealed))
-
-
 def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     """One repetition of one method on a centered-weight graph and its raw
-    similarities; returns (acc_all, acc_unlabeled, t_iter).
+    similarities; returns (acc_all, acc_unlabeled, t_iter), the two
+    :func:`~nblw.binary.accuracy` scores of its labels: the raw agreement,
+    or with nothing revealed the best agreement over relabellings.
 
     ``nblw`` is the library pipeline for ``data.q``, and t_iter times the
     whole call (walk, pool and decision, or k-means for q > 2).  ``lp`` is
@@ -127,7 +116,7 @@ def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     if method == "lp":
         sims = np.maximum(np.asarray(sims, dtype=np.float64), 0.0)
         g = centered.with_pair_weights(sims)
-        if knn > 0 and g.num_pairs:
+        if knn > 0:
             g = sparsify_knn(g, sims, k=knn)
         call = lambda: label_propagation(g, data)
     elif data.q == 2:
@@ -137,7 +126,8 @@ def _run(method, centered, sims, data: LabeledDataset, opts, algo_seed):
     t0 = time.perf_counter()
     est = call()
     t1 = time.perf_counter()
-    return (*_accuracies(est, data), t1 - t0)
+    return (accuracy(est, data.truth, "all", data.revealed),
+            accuracy(est, data.truth, "unlabeled", data.revealed), t1 - t0)
 
 
 def _row(opts, provenance, accs, se, t_sample, t_iter) -> dict:

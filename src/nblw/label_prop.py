@@ -24,7 +24,9 @@ __all__ = ["ConvergenceWarning", "sparsify_knn", "propagate_scores", "label_prop
 
 
 class ConvergenceWarning(UserWarning):
-    """Label propagation reached ``max_iter`` before its tolerance."""
+    """An iterative solver stopped at its iteration cap before its
+    tolerance: label propagation at ``max_iter``, or the Lloyd run that
+    :func:`~nblw.multiclass.kmeans` keeps at its step cap."""
 
 
 def sparsify_knn(g: WeightedGraph, similarities, k: int = 3) -> WeightedGraph:
@@ -50,9 +52,10 @@ def sparsify_knn(g: WeightedGraph, similarities, k: int = 3) -> WeightedGraph:
 
 
 def _neighbor_sums(src, dst, weight, x, n):
-    """Row i of the result is the sum of weight * x[src] over edges into i."""
+    """Row i of the result is the sum of weight * x[src] over edges into i.
+    float64 also with no edges, where ``bincount`` returns int64 zeros."""
     return np.stack([np.bincount(dst, weights=weight * x[src, c], minlength=n)
-                     for c in range(x.shape[1])], axis=1)
+                     for c in range(x.shape[1])], axis=1).astype(np.float64, copy=False)
 
 
 def propagate_scores(

@@ -12,14 +12,14 @@ with k-means, and the clusters are relabelled to match the revealed labels.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import _one_vs_rest
+from .binary import _one_vs_rest, match_labels
 from .graph import MessageState, WeightedGraph, nb_multiply, pool
+from .label_prop import ConvergenceWarning
 from .model import LabeledDataset
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "MulticlassResult",
     "run_multiclass",
     "kmeans",
-    "match_labels",
 ]
 
 
@@ -166,8 +165,9 @@ def _kmeans_pp_centers(points, q, rng):
 
 
 def _lloyd(points, centers):
-    """Lloyd steps on ``centers`` in place; returns (labels, WCSS).  An
-    empty cluster keeps its center; the caller reports it."""
+    """Lloyd steps on ``centers`` in place; returns (labels, WCSS, whether
+    it stopped at ``_MAX_ITER`` steps before the WCSS settled).  An empty
+    cluster keeps its center; the caller reports it."""
     n, q = points.shape[0], centers.shape[0]
     wcss = np.inf
     for _ in range(_MAX_ITER):
@@ -179,11 +179,11 @@ def _lloyd(points, centers):
         for j in range(points.shape[1]):
             sums = np.bincount(labels, weights=points[:, j], minlength=q)
             centers[filled, j] = sums[filled] / counts[filled]
-        if wcss - new_wcss <= _TOL * max(new_wcss, 1e-300):
-            wcss = new_wcss
-            break
+        settled = wcss - new_wcss <= _TOL * max(new_wcss, 1e-300)
         wcss = new_wcss
-    return labels, wcss
+        if settled:
+            return labels, wcss, False
+    return labels, wcss, True
 
 
 def kmeans(points, q: int, rng=None) -> np.ndarray:
@@ -191,7 +191,9 @@ def kmeans(points, q: int, rng=None) -> np.ndarray:
     within-cluster sum of squares; deterministic under a fixed rng.
 
     Ending with fewer than q non-empty clusters is possible (e.g. all
-    points identical) and is reported via :class:`EmptyClusterWarning`.
+    points identical) and is reported via :class:`EmptyClusterWarning`;
+    keeping a restart that stopped at ``_MAX_ITER`` Lloyd steps before its
+    WCSS settled, via :class:`~nblw.label_prop.ConvergenceWarning`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -203,12 +205,15 @@ def kmeans(points, q: int, rng=None) -> np.ndarray:
     if rng is None:
         rng = np.random.default_rng()
 
-    best_labels, best_wcss = None, np.inf
+    best_labels, best_wcss, best_capped = None, np.inf, False
     for _ in range(_RESTARTS):
         centers = _kmeans_pp_centers(points, q, rng)
-        labels, wcss = _lloyd(points, centers)
+        labels, wcss, capped = _lloyd(points, centers)
         if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
+            best_labels, best_wcss, best_capped = labels, wcss, capped
+    if best_capped:
+        warnings.warn(f"k-means stopped at {_MAX_ITER} Lloyd steps before its "
+                      f"WCSS settled", ConvergenceWarning, stacklevel=2)
     if np.unique(best_labels).size < q:
         warnings.warn(
             f"k-means produced {np.unique(best_labels).size} non-empty "
@@ -216,35 +221,3 @@ def kmeans(points, q: int, rng=None) -> np.ndarray:
             EmptyClusterWarning,
         )
     return best_labels
-
-
-def match_labels(est, truth):
-    """Best accuracy over relabelings of ``est`` (labels in 0..q-1).
-
-    Exhaustive over permutations for q <= 6, Hungarian assignment on the
-    confusion matrix above.  Returns (accuracy, permutation) where
-    permutation[c] is the truth label assigned to est label c.
-    """
-    est = np.asarray(est, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if est.shape != truth.shape:
-        raise ValueError("est and truth must have equal length")
-    if est.min(initial=0) < 0 or truth.min(initial=0) < 0:
-        raise ValueError("labels must be class indices 0..q-1, not +-1")
-    q = int(max(est.max(), truth.max())) + 1
-    confusion = np.zeros((q, q), dtype=np.int64)
-    np.add.at(confusion, (est, truth), 1)
-    if q <= 6:
-        best_perm, best_hits = None, -1
-        for perm in itertools.permutations(range(q)):
-            hits = int(confusion[np.arange(q), perm].sum())
-            if hits > best_hits:
-                best_perm, best_hits = perm, hits
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(confusion, maximize=True)
-        perm = np.empty(q, dtype=np.int64)
-        perm[rows] = cols
-        best_perm, best_hits = tuple(perm), int(confusion[rows, cols].sum())
-    return best_hits / est.shape[0], best_perm

@@ -375,6 +375,8 @@ def density_evolution(
     source cluster.  Initialization matches the walk: the true value
     (+1 or -1) with probability eta, otherwise a fair +-1.  After k
     message sweeps one further sweep plays the role of the pooling step.
+    A NaN or infinite message, e.g. from a weighting that returns one,
+    raises ValueError after its sweep instead of counting as a decision.
 
     The two populations are swept on two threads, the positive one in a
     worker that is started and joined within the call.  Each population
@@ -408,6 +410,8 @@ def density_evolution(
             next_p = worker.submit(_de_sweep, rp, spec, w, vp, vm)
             next_m = _de_sweep(rm, spec, w, vm, vp)
             vp, vm = next_p.result(), next_m
+            if not (np.all(np.isfinite(vp)) and np.all(np.isfinite(vm))):
+                raise ValueError(f"non-finite message after sweep {l + 1} of {k + 1}")
 
     err = 0.5 * (np.mean(vp <= 0.0) + np.mean(vm >= 0.0))
     se = math.sqrt(max(err * (1.0 - err), 1.0 / (2 * pop)) / (2 * pop))

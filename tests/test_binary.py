@@ -206,6 +206,11 @@ class TestAccuracy:
         assert accuracy(-t, t) == 1.0  # unsupervised: flip-invariant
         revealed = np.array([True, False, False, False])
         assert accuracy(-t, t, revealed=revealed) == 0.0
+        # beyond two labels the best relabelling counts, not the better of
+        # the agreement a and 1 - a (1/6 here, and 1/8 below)
+        assert accuracy([0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]) == 0.5
+        e4, t4 = [3, 3, 0, 0, 1, 2, 2, 1], [0, 0, 1, 1, 2, 2, 3, 3]
+        assert accuracy(e4, t4) == accuracy(e4, t4, "unlabeled") == 0.75
 
     def test_random_estimate_half(self):
         rng = np.random.default_rng(8)

@@ -129,6 +129,21 @@ class TestLabelPropagation:
         assert est[2] == -1  # majority of revealed labels
         assert est[3] == -1
 
+    def test_graph_without_edges(self):
+        """Revealed nodes keep their labels, the rest take the majority
+        class, and no warning is raised: the zero sums of an empty graph
+        are float, so the solve takes its one empty step."""
+        g = build_graph(5, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        data = LabeledDataset(truth=np.array([1, -1, -1, 1, 1]),
+                              revealed=np.array([True, True, True, False, False]),
+                              n=5, q=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = label_propagation(g, data)
+            pruned = sparsify_knn(g, np.empty(0), k=3)
+        assert list(est) == [1, -1, -1, -1, -1]
+        assert pruned.n == 5 and pruned.num_pairs == 0
+
     def test_iteration_cap_warns(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0])
         data = LabeledDataset(truth=np.array([1, 1, -1, -1]),

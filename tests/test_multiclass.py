@@ -1,12 +1,15 @@
 """The multi-cluster block walk, k-means and label matching."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+import nblw.multiclass
 from conftest import random_graph
 from nblw import (
+    ConvergenceWarning,
     EmptyClusterWarning,
     LabeledDataset,
     ModelSpec,
@@ -248,7 +251,7 @@ class TestKmeans:
             if trial % 3 == 0:
                 want[-1] = got[-1] = 1e3  # a center no point is closest to
             want_labels, want_wcss = reference_lloyd(pts, want)
-            got_labels, got_wcss = _lloyd(pts, got)
+            got_labels, got_wcss, _ = _lloyd(pts, got)
             empty += np.unique(want_labels).size < q
             assert np.array_equal(got_labels, want_labels)
             assert np.array_equal(got, want) and got_wcss == want_wcss
@@ -263,6 +266,17 @@ class TestKmeans:
     def test_identical_points_reports_empty_cluster(self):
         with pytest.warns(EmptyClusterWarning):
             kmeans(np.ones(20), 2, np.random.default_rng(0))
+
+    def test_iteration_cap_warns(self, monkeypatch):
+        pts = np.concatenate([np.zeros(50), np.full(50, 10.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            settled = kmeans(pts, 2, np.random.default_rng(0))
+        monkeypatch.setattr(nblw.multiclass, "_MAX_ITER", 1)
+        with pytest.warns(ConvergenceWarning, match="1 Lloyd steps") as record:
+            capped = kmeans(pts, 2, np.random.default_rng(0))
+        assert len(record) == 1
+        assert np.array_equal(capped, settled)
 
     def test_brute_force_wcss_oracle(self):
         """kmeans matches the best partition WCSS on >= 95/100 trials."""

@@ -305,6 +305,17 @@ class TestDensityEvolution:
         # left unjoined would still be counted here
         assert info.value is not None and threading.active_count() == before
 
+    def test_non_finite_message_raises_and_joins_worker(self):
+        """A NaN message passes neither sign test, so unchecked it would
+        count as a correct decision and report error 0."""
+        nan_above_3 = FunctionWeight(lambda s: np.where(s > 3, np.nan, s))
+        spec = self._spec(alpha=10.0, eta=0.1, p_in=Gaussian(0.5, 1.0),
+                          p_out=Gaussian(-0.5, 1.0))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="non-finite message after sweep 1 of 5") as info:
+            density_evolution(spec, nan_above_3, 4, pop=2000, rng=np.random.default_rng(0))
+        assert info.value is not None and threading.active_count() == before
+
 
 class TestBoundChecks:
     def test_tau_zero_trivially_passes(self):
