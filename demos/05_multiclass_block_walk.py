@@ -3,8 +3,9 @@
 Four Gaussian blobs are clustered from subsampled kernel similarities.
 The q - 1 = 3 one-vs-rest initializations are walked as one block,
 re-orthonormalized after every step, and each row is pooled into one
-embedding column; the columns are k-means'd and the clusters relabelled
-to agree with the revealed labels.  The rows' Rayleigh
+embedding column; the columns are k-means'd, from the revealed nodes'
+class means when every class has one, and the clusters relabelled to
+agree with the revealed labels.  The rows' Rayleigh
 quotients show how much signal each direction carried.
 """
 

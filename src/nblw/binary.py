@@ -161,8 +161,7 @@ def match_labels(est, truth):
     if est.min(initial=0) < 0 or truth.min(initial=0) < 0:
         raise ValueError("labels must be class indices 0..q-1, not +-1")
     q = int(max(est.max(), truth.max())) + 1
-    confusion = np.zeros((q, q), dtype=np.int64)
-    np.add.at(confusion, (est, truth), 1)
+    confusion = np.bincount(est * q + truth, minlength=q * q).reshape(q, q)
     if q <= 6:
         best_perm, best_hits = None, -1
         for perm in itertools.permutations(range(q)):

@@ -8,6 +8,12 @@ model the informative eigenvalue is (q - 1)-fold degenerate, and the block
 converges to its whole eigenspace at once.  Row 0 keeps the direction of
 the binary walk.  The n x (q-1) embedding of the pooled rows is clustered
 with k-means, and the clusters are relabelled to match the revealed labels.
+
+When every class has a revealed node, k-means is one Lloyd run from the
+q revealed-class means of the embedding, so center c starts with class
+c's index (Seeded-KMeans: Basu, Banerjee & Mooney, "Semi-supervised
+Clustering by Seeding", ICML 2002).  Otherwise it is the best of several
+kmeans++ restarts, with no class order of its own.
 """
 
 from __future__ import annotations
@@ -88,6 +94,13 @@ def run_multiclass(
     index).  With nothing revealed the k-means labels stay as they are.
     ``q`` must equal ``data.q``.
 
+    If every class has a revealed node, k-means starts from the mean
+    embedding of each class's revealed nodes and draws nothing from
+    ``rng``; the relabelling is then the identity unless Lloyd's steps
+    carried a cluster off its class.  If some class has none (η = 0
+    included), k-means takes the best of its kmeans++ restarts, drawn
+    from ``rng``.
+
     The initializations draw from ``rng`` class by class, before k-means.
     Row c of the walked block is the direction of B^k x_c with the
     directions of rows 0..c-1 removed, so row 0 is the binary walk's
@@ -111,10 +124,17 @@ def run_multiclass(
     xx = np.einsum("ij,ij->i", X, X)
     rayleigh = np.divide(xbx, xx, out=np.zeros_like(xx), where=xx > 0)
     embedding = np.column_stack([pool(g, MessageState(x)) for x in X])
-    assignments = kmeans(embedding, q, rng)
     rev = data.revealed
+    cls = data.class_indices()[rev]
+    sizes = np.bincount(cls, minlength=q)
+    if np.all(sizes > 0):
+        centers = np.column_stack([np.bincount(cls, weights=column[rev], minlength=q)
+                                   for column in embedding.T]) / sizes[:, None]
+        assignments = kmeans(embedding, q, centers=centers)
+    else:
+        assignments = kmeans(embedding, q, rng)
     if rev.any():
-        _, matched = match_labels(assignments[rev], data.class_indices()[rev])
+        _, matched = match_labels(assignments[rev], cls)
         # labels absent from the revealed nodes keep their own index, so
         # the permutation covers all q labels
         perm = np.arange(q)
@@ -133,8 +153,8 @@ def run_multiclass(
 # ---------------------------------------------------------------------------
 
 
-# k-means runs this many kmeans++ restarts, each at most this many Lloyd
-# steps, stopping once a step lowers the WCSS by at most this fraction.
+# Unseeded k-means runs this many kmeans++ restarts, each at most this many
+# Lloyd steps, stopping once a step lowers the WCSS by at most this fraction.
 _RESTARTS = 10
 _MAX_ITER = 100
 _TOL = 1e-6
@@ -186,14 +206,21 @@ def _lloyd(points, centers):
     return labels, wcss, True
 
 
-def kmeans(points, q: int, rng=None) -> np.ndarray:
+def kmeans(points, q: int, rng=None, centers=None) -> np.ndarray:
     """Lloyd's algorithm from kmeans++ seeding, best of ``_RESTARTS`` by
     within-cluster sum of squares; deterministic under a fixed rng.
 
+    Given ``centers``, a finite (q, d) array for the d columns of
+    ``points``, it runs Lloyd's algorithm once from them instead, so
+    cluster c grows from ``centers[c]``; nothing is drawn from ``rng``
+    and the caller's array is not changed.  A wrong shape or a non-finite
+    center raises ValueError.
+
     Ending with fewer than q non-empty clusters is possible (e.g. all
-    points identical) and is reported via :class:`EmptyClusterWarning`;
-    keeping a restart that stopped at ``_MAX_ITER`` Lloyd steps before its
-    WCSS settled, via :class:`~nblw.label_prop.ConvergenceWarning`.
+    points identical, or two equal centers) and is reported via
+    :class:`EmptyClusterWarning`; keeping a run that stopped at
+    ``_MAX_ITER`` Lloyd steps before its WCSS settled, via
+    :class:`~nblw.label_prop.ConvergenceWarning`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -202,15 +229,23 @@ def kmeans(points, q: int, rng=None) -> np.ndarray:
         raise ValueError("kmeans needs at least one point")
     if q > points.shape[0]:
         raise ValueError("q cannot exceed the number of points")
-    if rng is None:
-        rng = np.random.default_rng()
 
-    best_labels, best_wcss, best_capped = None, np.inf, False
-    for _ in range(_RESTARTS):
-        centers = _kmeans_pp_centers(points, q, rng)
-        labels, wcss, capped = _lloyd(points, centers)
-        if wcss < best_wcss:
-            best_labels, best_wcss, best_capped = labels, wcss, capped
+    if centers is not None:
+        centers = np.array(centers, dtype=np.float64)  # a copy: Lloyd moves it
+        if centers.shape != (q, points.shape[1]):
+            raise ValueError(f"centers must have shape {(q, points.shape[1])}, "
+                             f"not {centers.shape}")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
+        best_labels, _, best_capped = _lloyd(points, centers)
+    else:
+        if rng is None:
+            rng = np.random.default_rng()
+        best_labels, best_wcss, best_capped = None, np.inf, False
+        for _ in range(_RESTARTS):
+            labels, wcss, capped = _lloyd(points, _kmeans_pp_centers(points, q, rng))
+            if wcss < best_wcss:
+                best_labels, best_wcss, best_capped = labels, wcss, capped
     if best_capped:
         warnings.warn(f"k-means stopped at {_MAX_ITER} Lloyd steps before its "
                       f"WCSS settled", ConvergenceWarning, stacklevel=2)

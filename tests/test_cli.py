@@ -64,6 +64,12 @@ GOLDEN = {
         "--reps", "2", "--seed", "3", "--kmax", "10",
         "--p-in", "point:1", "--p-out", "point:0", "--method", "both",
     ],
+    # nothing revealed: the q = 3 k-means keeps its kmeans++ restarts
+    "synth_q3_eta0.csv": [
+        "synth", "--n", "1500", "--q", "3", "--alpha", "10", "--eta", "0",
+        "--reps", "2", "--seed", "6", "--kmax", "10",
+        "--p-in", "point:1", "--p-out", "point:0",
+    ],
 }
 
 

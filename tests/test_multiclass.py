@@ -80,17 +80,68 @@ class TestRunMulticlass:
         acc, _ = match_labels(res.assignments, data.class_indices())
         assert acc >= 0.95
 
+    @staticmethod
+    def _q4_instance(seed):
+        spec = ModelSpec(n=4000, q=4, alpha=20.0, eta=0.1,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=seed)
+        g, sims, data = make_instance(spec)
+        return g.with_pair_weights(center_weights(sims)), data
+
     @pytest.mark.parametrize("seed", range(5))
     def test_assignments_aligned_with_revealed_labels(self, seed):
         """The k-means clusters come back under the revealed labels' class
         indices, so the revealed nodes get their own class."""
-        spec = ModelSpec(n=4000, q=4, alpha=20.0, eta=0.1,
-                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=seed)
-        g, sims, data = make_instance(spec)
-        g = g.with_pair_weights(center_weights(sims))
+        g, data = self._q4_instance(seed)
         res = run_multiclass(g, data, 4, 15, np.random.default_rng(seed))
         rev = data.revealed
         assert np.mean(res.assignments[rev] == data.class_indices()[rev]) >= 0.95
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_kmeans_as_accurate_as_restarts(self, seed):
+        """Every class is revealed, so k-means starts from the revealed
+        class means and draws nothing after the initializations.  On the
+        hidden nodes it is at most 0.002 less accurate than the kmeans++
+        restarts on the same embedding, relabelled on the revealed nodes."""
+        g, data = self._q4_instance(seed)
+        rng = np.random.default_rng(seed)
+        res = run_multiclass(g, data, 4, 15, rng)
+        replay = np.random.default_rng(seed)
+        _one_vs_rest(g, data, range(3), replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+        restarts = kmeans(res.embedding, 4, np.random.default_rng(seed))
+        rev, truth = data.revealed, data.class_indices()
+        _, perm = match_labels(restarts[rev], truth[rev])
+        restarts = np.asarray(perm)[restarts]
+        hidden = ~rev
+        seeded_acc = np.mean(res.assignments[hidden] == truth[hidden])
+        restart_acc = np.mean(restarts[hidden] == truth[hidden])
+        assert seeded_acc >= restart_acc - 0.002
+
+    def test_unrevealed_class_keeps_restarts(self):
+        """Class 2 has no revealed node, so k-means takes the kmeans++
+        restarts from the rng the initializations left, and the clusters
+        are relabelled on the revealed nodes; label 2 keeps its index."""
+        spec = ModelSpec(n=3000, q=3, alpha=15.0, eta=0.1,
+                         p_in=PointMass(1.0), p_out=PointMass(-1.0), seed=4)
+        g, sims, full = make_instance(spec)
+        g = g.with_pair_weights(center_weights(sims))
+        truth = full.class_indices()
+        data = LabeledDataset(truth=full.truth, revealed=full.revealed & (truth != 2),
+                              n=full.n, q=3)
+        run_rng = np.random.default_rng(8)
+        res = run_multiclass(g, data, 3, 10, run_rng)
+
+        rng = np.random.default_rng(8)
+        _one_vs_rest(g, data, range(2), rng)
+        labels = kmeans(res.embedding, 3, rng)
+        assert run_rng.bit_generator.state == rng.bit_generator.state
+        rev = data.revealed
+        _, matched = match_labels(labels[rev], truth[rev])
+        perm = np.arange(3)
+        perm[:len(matched)] = matched
+        assert np.array_equal(res.assignments, perm[labels])
+        assert np.mean(res.assignments == truth) >= 0.9
 
     def test_q_must_match_dataset(self):
         spec = ModelSpec(n=300, q=3, alpha=6.0, eta=0.2,
@@ -306,6 +357,45 @@ class TestKmeans:
             if wcss_of(pts, labels, 2) <= best * (1 + 1e-9) + 1e-12:
                 hits += 1
         assert hits >= 95
+
+    def test_seeded_runs_from_the_given_centers(self):
+        """Cluster c grows from centers[c]; neither the rng nor the centers
+        change."""
+        pts = np.concatenate([np.zeros((50, 2)), np.full((50, 2), 10.0)])
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        centers = np.array([[9.0, 9.0], [1.0, 1.0]])
+        labels = kmeans(pts, 2, rng, centers=centers)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(centers, [[9.0, 9.0], [1.0, 1.0]])
+        assert np.array_equal(labels, np.repeat([1, 0], 50))
+
+    def test_seeded_center_validation(self):
+        pts = np.random.default_rng(0).standard_normal((30, 2))
+        for bad in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                kmeans(pts, 3, centers=bad)
+        for value in (np.nan, np.inf, -np.inf):
+            centers = np.zeros((3, 2))
+            centers[1, 0] = value
+            with pytest.raises(ValueError, match="finite"):
+                kmeans(pts, 3, centers=centers)
+
+    def test_seeded_iteration_cap_warns(self, monkeypatch):
+        pts = np.concatenate([np.zeros(50), np.full(50, 10.0)])[:, None]
+        monkeypatch.setattr(nblw.multiclass, "_MAX_ITER", 1)
+        with pytest.warns(ConvergenceWarning, match="1 Lloyd steps") as record:
+            kmeans(pts, 2, centers=[[0.0], [10.0]])
+        assert len(record) == 1
+
+    def test_equal_seed_centers_report_empty_cluster(self):
+        """Both centers at the (exact) mean: every point ties and goes to
+        cluster 0, and neither center moves."""
+        half = np.random.default_rng(5).integers(-3, 4, (20, 2)).astype(float)
+        pts = np.concatenate([half, -half])
+        with pytest.warns(EmptyClusterWarning, match="1 non-empty clusters out of 2"):
+            labels = kmeans(pts, 2, centers=np.zeros((2, 2)))
+        assert not labels.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
