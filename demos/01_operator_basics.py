@@ -17,9 +17,11 @@ from nblw import (
     pool,
 )
 
-# A 5-node graph: a square with one diagonal and a pendant node.
-pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]
-sims = [0.9, 0.8, 0.7, 0.75, 0.2, 0.6]
+# A 5-node graph: the square 0-1-2-3 with the diagonal 0-2 and a pendant
+# node 4.  build_graph takes each pair as (lo, hi), lo < hi, in key order
+# lo * n + hi, which is how the samplers emit them.
+pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)]
+sims = [0.9, 0.2, 0.75, 0.8, 0.7, 0.6]
 g = build_graph(5, pairs, center_weights(sims))
 
 print(f"nodes: {g.n}, undirected pairs: {g.num_pairs}, half-edges: {g.num_half_edges}")

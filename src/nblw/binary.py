@@ -34,8 +34,8 @@ def _one_vs_rest(g: WeightedGraph, data: LabeledDataset, classes, rng) -> np.nda
     """The one-vs-rest initializations of ``classes``, one row each: out-edges
     of revealed class-c nodes get +1, out-edges of other revealed nodes -1,
     the rest i.i.d. +-1.  Rows draw from ``rng`` in turn, in half-edge
-    order; :func:`~nblw.graph.build_graph` stores the pairs in key order,
-    so the draws do not depend on the input pair order."""
+    order, which follows the pairs in key order, the only order
+    :func:`~nblw.graph.build_graph` accepts."""
     from_revealed = data.revealed[g.src]
     src_cls = data.class_indices()[g.src[from_revealed]]
     X = np.empty((len(classes), g.num_half_edges))

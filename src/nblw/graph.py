@@ -1,11 +1,11 @@
 """Sparse weighted similarity graphs stored as directed half-edges.
 
-The m deduplicated undirected pairs (lo, hi), lo < hi, sorted by the key
-lo * n + hi, are the graph.  Half-edge p is ``lo_p -> hi_p`` and half-edge
-m + p is its reverse, so the twin of half-edge e is (e + m) mod 2m and
-swapping the two halves of a message vector reverses every message.  The
-layout depends only on the set of pairs, not on their input order or
-orientation, and per-pair arrays line up with ``pairs`` in key order.
+The pair list is the graph: m distinct undirected pairs (lo, hi), lo < hi,
+in increasing key order lo * n + hi, taken as given and checked, never
+sorted.  Half-edge p is ``lo_p -> hi_p`` and half-edge m + p is its
+reverse, so the twin of half-edge e is (e + m) mod 2m and swapping the
+two halves of a message vector reverses every message.  Per-pair arrays
+line up with the input pairs, which ``pairs`` returns.
 One application of the non-backtracking operator costs O(half_edges):
 the weighted sum of incoming messages is accumulated once per node and
 the single backtracking term, read from the other half, is subtracted
@@ -59,15 +59,12 @@ class WeightedGraph:
     weight : float64 array, shape (2m,)
         Weight per half-edge, the pair weights twice over:
         ``weight[e] == weight[(e + m) % (2 * m)]``.
-    duplicates_dropped : int
-        Number of duplicate input pairs silently discarded at build time.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    duplicates_dropped: int = 0
 
     @property
     def num_half_edges(self) -> int:
@@ -140,25 +137,17 @@ class MessageState:
 
 
 def build_graph(n, pairs, weights) -> WeightedGraph:
-    """Build a half-edge graph from undirected pairs and one weight each.
+    """Build a half-edge graph from pairs in canonical form, one weight each.
 
-    Self-loops are rejected.  Duplicate pairs (in either orientation) are
-    deduplicated keeping the first occurrence's weight; the count of
-    dropped pairs is recorded on the graph.  The survivors are stored in
-    canonical order: (lo, hi) with lo < hi, sorted by the key lo * n + hi.
-    So the graph, and every walk on it, is the same for any order or
-    orientation of the input pairs.  The in-repo samplers emit canonical
-    pairs, so their per-pair arrays stay aligned; other callers read
-    per-pair values back through :meth:`WeightedGraph.pair_weights`.
+    The pairs must be distinct (lo, hi), lo < hi, in increasing key order
+    lo * n + hi, as :func:`~nblw.model.draw_er_pairs` emits them and
+    :attr:`WeightedGraph.pairs` returns them.  A self-loop, a reversed pair
+    (so a pair repeated in reversed orientation), a repeated pair and a
+    pair out of key order each raise ValueError naming the first offending
+    pair: nothing is sorted, dropped or repaired.  Cost: O(m).
 
-    Cost: one stable sort of the m keys, and O(m) copying.
-
-    Parameters
-    ----------
-    n : int
-        Node count; endpoints must lie in [0, n).
-    pairs : array-like of shape (m, 2)
-    weights : array-like of shape (m,)
+    ``n`` is the node count, with endpoints in [0, n); ``pairs`` is
+    array-like of shape (m, 2) and ``weights`` of shape (m,).
     """
     n = int(n)
     if n <= 0:
@@ -175,40 +164,20 @@ def build_graph(n, pairs, weights) -> WeightedGraph:
         raise ValueError("pair endpoint out of range [0, n)")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    if np.any(pairs[:, 0] == pairs[:, 1]):
-        raise ValueError("self-loops are not allowed")
-
-    # The stable sort of the keys lo * n + hi is the canonical order, with
-    # each key's first input occurrence first in its run.
-    key = np.minimum(pairs[:, 0], pairs[:, 1])
-    key *= n
-    key += np.maximum(pairs[:, 0], pairs[:, 1])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.empty(key.shape[0], dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    m = int(first.sum())
-    if m < key.shape[0]:
-        key, order = key[first], order[first]
-    del first
-
-    # Gather the weights and decode (lo, hi) into the first halves.  Freeing
-    # ``order`` first lets src and dst reuse its pages; "clip" (order is in
-    # range) spares np.take a buffered copy; floor_divide and a subtraction
-    # take a third of np.divmod's time.
-    weight = np.empty(2 * m)
-    np.take(weights, order, out=weight[:m], mode="clip")
-    del order
-    weight[m:] = weight[:m]
-    src, dst = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
-    np.floor_divide(key, n, out=src[:m])
-    np.multiply(src[:m], n, out=src[m:])  # scratch until it gets hi below
-    np.subtract(key, src[m:], out=dst[:m])
-    del key
-    src[m:], dst[m:] = dst[:m], src[:m]
-    return WeightedGraph(n=n, src=src, dst=dst, weight=weight,
-                         duplicates_dropped=pairs.shape[0] - m)
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    if np.any(lo >= hi):
+        p = int(np.argmax(lo >= hi))
+        a, b = pairs[p]
+        raise ValueError(f"self-loops are not allowed: pair {p} is ({a}, {b})" if a == b else
+                         f"pair {p}, ({a}, {b}), is reversed: pairs must be (lo, hi) with lo < hi")
+    key = lo * n + hi  # freed at the return: freeing it before the outputs slowed later layers
+    if np.any(key[1:] <= key[:-1]):
+        p = int(np.argmax(key[1:] <= key[:-1])) + 1
+        a, b = pairs[p]
+        rule = "repeats" if key[p] == key[p - 1] else "is out of key order lo * n + hi after"
+        raise ValueError(f"pair {p}, ({a}, {b}), {rule} pair {p - 1}")
+    return WeightedGraph(n=n, src=np.concatenate([lo, hi]), dst=np.concatenate([hi, lo]),
+                         weight=np.concatenate([weights, weights]))
 
 
 def center_weights(similarities) -> np.ndarray:

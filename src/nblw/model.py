@@ -208,8 +208,8 @@ class LabeledDataset:
         self.revealed = np.asarray(self.revealed, dtype=bool)
         if self.truth.shape != (self.n,) or self.revealed.shape != (self.n,):
             raise ValueError("truth and revealed must have length n")
-        allowed = {-1, 1} if self.q == 2 else set(range(self.q))
-        if not set(np.unique(self.truth)).issubset(allowed):
+        allowed = [-1, 1] if self.q == 2 else np.arange(self.q)
+        if not np.isin(self.truth, allowed).all():
             raise ValueError("labels out of range for q")
 
     def class_indices(self) -> np.ndarray:

@@ -214,7 +214,8 @@ def kmeans(points, q: int, rng=None, centers=None) -> np.ndarray:
     ``points``, it runs Lloyd's algorithm once from them instead, so
     cluster c grows from ``centers[c]``; nothing is drawn from ``rng``
     and the caller's array is not changed.  A wrong shape or a non-finite
-    center raises ValueError.
+    center raises ValueError, and so does a non-finite point, before
+    anything is drawn.
 
     Ending with fewer than q non-empty clusters is possible (e.g. all
     points identical, or two equal centers) and is reported via
@@ -229,6 +230,10 @@ def kmeans(points, q: int, rng=None, centers=None) -> np.ndarray:
         raise ValueError("kmeans needs at least one point")
     if q > points.shape[0]:
         raise ValueError("q cannot exceed the number of points")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"points must be finite: point {bad[0]} is not "
+                         f"({bad.size} in all)")
 
     if centers is not None:
         centers = np.array(centers, dtype=np.float64)  # a copy: Lloyd moves it
@@ -237,15 +242,16 @@ def kmeans(points, q: int, rng=None, centers=None) -> np.ndarray:
                              f"not {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
-        best_labels, _, best_capped = _lloyd(points, centers)
+        starts = [centers]
     else:
         if rng is None:
             rng = np.random.default_rng()
-        best_labels, best_wcss, best_capped = None, np.inf, False
-        for _ in range(_RESTARTS):
-            labels, wcss, capped = _lloyd(points, _kmeans_pp_centers(points, q, rng))
-            if wcss < best_wcss:
-                best_labels, best_wcss, best_capped = labels, wcss, capped
+        starts = (_kmeans_pp_centers(points, q, rng) for _ in range(_RESTARTS))
+    best_labels, best_wcss, best_capped = None, np.inf, False
+    for start in starts:
+        labels, wcss, capped = _lloyd(points, start)
+        if best_labels is None or wcss < best_wcss:
+            best_labels, best_wcss, best_capped = labels, wcss, capped
     if best_capped:
         warnings.warn(f"k-means stopped at {_MAX_ITER} Lloyd steps before its "
                       f"WCSS settled", ConvergenceWarning, stacklevel=2)

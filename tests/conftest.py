@@ -1,6 +1,6 @@
-"""Shared helpers: random graph generation, the reference dedup and
-(src, dst) layout, dense-oracle chaining, BFS restriction for locality
-checks, and ensemble moment collection."""
+"""Shared helpers: random graph generation, canonical test pairs, the
+reference (src, dst) layout, dense-oracle chaining, BFS restriction for
+locality checks, and ensemble moment collection."""
 
 import numpy as np
 
@@ -29,16 +29,15 @@ def random_graph(rng, n, p=0.4, w_low=-1.0, w_high=1.0):
     return build_graph(n, pairs, weights)
 
 
-def dedup_reference(n, pairs, weights):
-    """Reference dedup: every distinct pair once, as (lo, hi) with lo < hi
-    in key order lo * n + hi, with its first occurrence's weight, and the
-    number of dropped duplicates."""
+def canonical_pairs(n, pairs, weights):
+    """Test input in build_graph's canonical form: every distinct pair of
+    ``pairs`` once, as (lo, hi) with lo < hi in key order lo * n + hi, with
+    its first occurrence's weight."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
-    kept = np.column_stack([lo[first], hi[first]])
-    return kept, weights[first], len(lo) - first.shape[0]
+    return np.column_stack([lo[first], hi[first]]), weights[first]
 
 
 def lexsort_layout(g: WeightedGraph):

@@ -14,7 +14,6 @@ from nblw import (
     ModelSpec,
     PointMass,
     accuracy,
-    build_graph,
     center_weights,
     dataset_from_truth,
     gaussian_blobs,
@@ -108,24 +107,6 @@ class TestRunBinary:
         a = run_binary(g, data, 7, np.random.default_rng(6))
         b = run_binary(g, data, 7, np.random.default_rng(6))
         assert np.array_equal(a[0], b[0]) and np.allclose(a[1], b[1])
-
-    def test_pair_order_does_not_change_the_walk(self):
-        """The graph stores its pairs in key order, so shuffling and
-        flipping the pair list changes nothing, not even the rounding."""
-        g, _, data, _ = small_instance(seed=8, p_in=Gaussian(0.5, 1),
-                                       p_out=Gaussian(-0.5, 1))
-        rng = np.random.default_rng(9)
-        perm = rng.permutation(g.num_pairs)
-        pairs = g.pairs[perm]
-        flip = rng.random(g.num_pairs) < 0.5
-        pairs[flip] = pairs[flip, ::-1]
-        shuffled = build_graph(g.n, pairs, g.pair_weights()[perm])
-        for field in ("src", "dst", "weight"):
-            assert np.array_equal(getattr(shuffled, field), getattr(g, field)), field
-        a, pa = run_binary(g, data, 10, np.random.default_rng(4))
-        b, pb = run_binary(shuffled, data, 10, np.random.default_rng(4))
-        assert np.array_equal(pa, pb)
-        assert np.array_equal(a, b)
 
     def test_isolated_node_policy(self):
         """Isolated revealed nodes keep their label, others get the tie."""

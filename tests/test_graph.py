@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import chained_unscaled, dedup_reference, lexsort_layout, random_graph, twin
+from conftest import canonical_pairs, chained_unscaled, lexsort_layout, random_graph, twin
 from nblw import (
     LabeledDataset,
     MessageState,
@@ -51,13 +51,31 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="finite"):
             build_graph(3, [(0, 1)], [np.nan])
 
-    def test_duplicates_dropped_first_kept(self):
-        g = build_graph(3, [(0, 1), (1, 0), (1, 2)], [0.7, 0.9, 1.0])
-        assert g.duplicates_dropped == 1
-        assert g.num_pairs == 2
-        # first occurrence's weight survives
-        e = np.flatnonzero((g.src == 0) & (g.dst == 1))[0]
-        assert g.weight[e] == 0.7
+    def test_refuses_non_canonical_pairs(self):
+        """Only distinct (lo, hi), lo < hi, in key order are accepted: each
+        fault raises, naming its rule and the first offending pair."""
+        refused = [
+            ([(0, 1), (2, 2)], "self-loops are not allowed: pair 1 is"),
+            ([(0, 1), (2, 1)], r"pair 1, \(2, 1\), is reversed"),
+            ([(0, 1), (0, 1)], r"pair 1, \(0, 1\), repeats pair 0"),
+            ([(0, 1), (1, 0)], r"pair 1, \(1, 0\), is reversed"),
+            ([(0, 1), (0, 2), (0, 1)], r"pair 2, \(0, 1\), is out of key order"),
+            ([(0, 2), (1, 2), (0, 1)], r"pair 2, \(0, 1\), is out of key order"),
+        ]
+        for pairs, message in refused:
+            with pytest.raises(ValueError, match=message):
+                build_graph(3, pairs, np.ones(len(pairs)))
+        # a sampled pair list, shuffled or with one pair flipped
+        pairs = draw_er_pairs(500, 6.0, np.random.default_rng(2))
+        w = np.ones(pairs.shape[0])
+        with pytest.raises(ValueError, match="out of key order"):
+            build_graph(500, pairs[np.random.default_rng(3).permutation(len(pairs))], w)
+        flipped = pairs.copy()
+        flipped[7] = flipped[7, ::-1]
+        with pytest.raises(ValueError, match="pair 7, .* is reversed"):
+            build_graph(500, flipped, w)
+        assert build_graph(500, pairs, w).num_pairs == pairs.shape[0]
+        assert build_graph(3, np.empty((0, 2), dtype=np.int64), []).num_half_edges == 0
 
     def test_twin_involution_and_weight_symmetry(self):
         rng = np.random.default_rng(0)
@@ -91,6 +109,8 @@ def _pairs_with_duplicates(rng, n, m):
 
 
 def _layout_cases():
+    """Cases in any order and orientation, with repeats; LAYOUT_CASES holds
+    them in canonical form."""
     rng = np.random.default_rng(11)
     for t in range(40):
         n = int(rng.integers(2, 30))
@@ -110,7 +130,8 @@ def _layout_cases():
     yield "sparsify-knn", 3000, knn.pairs, knn.pair_weights()
 
 
-LAYOUT_CASES = list(_layout_cases())
+LAYOUT_CASES = [(name, n, *canonical_pairs(n, pairs, weights))
+                for name, n, pairs, weights in _layout_cases()]
 
 
 def _csr_products(g, x):
@@ -139,28 +160,18 @@ class TestBuildGraphLayout:
     @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
     def test_pair_major_layout(self, n, pairs, weights):
         g = build_graph(n, pairs, weights)
-        kept, kept_w, dropped = dedup_reference(n, pairs, weights)
-        assert g.n == n and g.duplicates_dropped == dropped
+        assert g.n == n
         want = {
-            "pairs": kept,
-            "src": np.concatenate([kept[:, 0], kept[:, 1]]),
-            "dst": np.concatenate([kept[:, 1], kept[:, 0]]),
-            "weight": np.concatenate([kept_w, kept_w]),
+            "pairs": pairs,
+            "src": np.concatenate([pairs[:, 0], pairs[:, 1]]),
+            "dst": np.concatenate([pairs[:, 1], pairs[:, 0]]),
+            "weight": np.concatenate([weights, weights]),
         }
         for field, value in want.items():
             got = getattr(g, field)
             assert got.dtype == value.dtype, field
             assert np.array_equal(got, value), field
-        assert np.array_equal(g.pair_weights(), kept_w)
-        # the distinct pairs in any order and orientation give the same graph
-        rng = np.random.default_rng(n)
-        perm = rng.permutation(kept.shape[0])
-        moved = kept[perm]
-        flip = rng.random(kept.shape[0]) < 0.5
-        moved[flip] = moved[flip, ::-1]
-        again = build_graph(n, moved, kept_w[perm])
-        for field in ("src", "dst", "weight"):
-            assert np.array_equal(getattr(again, field), getattr(g, field)), field
+        assert np.array_equal(g.pair_weights(), weights)
 
     @pytest.mark.parametrize("n,pairs,weights", LAYOUT_ARGS, ids=LAYOUT_IDS)
     def test_matches_lexsort_reference(self, n, pairs, weights):
@@ -204,8 +215,7 @@ class TestBuildGraphLayout:
 
     def test_cases_cover_duplicates_and_isolated_nodes(self):
         graphs = {name: build_graph(*args) for name, *args in LAYOUT_CASES}
-        assert sum(graphs[f"random-{t}"].duplicates_dropped > 0 for t in range(40)) >= 30
-        assert graphs["n2-duplicate"].duplicates_dropped == 1
+        assert graphs["n2-duplicate"].num_pairs == 1
         assert np.any(graphs["isolated-nodes"].degrees() == 0)
         assert graphs["empty"].num_half_edges == 0
 
@@ -241,7 +251,7 @@ class TestApplyNB:
 
     def test_triangle_all_ones(self):
         """Each directed edge of a 3-cycle has exactly one predecessor."""
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 1.0])
+        g = build_graph(3, [(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 1.0])
         assert np.allclose(nb_multiply(g, np.ones(6)), 1.0)
 
     def test_matches_dense_oracle_30_random_graphs(self):
@@ -315,7 +325,7 @@ class TestDenseOracle:
         assert np.all(dense_nb_matrix(g) == 0)
 
     def test_triangle_rows_single_one(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 1.0])
+        g = build_graph(3, [(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 1.0])
         B = dense_nb_matrix(g)
         assert np.all(B.sum(axis=1) == 1) and np.all((B == 0) | (B == 1))
 

@@ -172,12 +172,12 @@ class TestLabelPropagation:
         """q = 3: free rows solve L_FF X = W_FL Y; rows no label reaches
         (a label-free component, an isolated node, a node whose edges all
         weigh 0) stay exactly 0 and go to the majority class."""
-        pairs = [(0, 3), (1, 3), (1, 4), (2, 5), (3, 4), (4, 5), (5, 6), (3, 6),
-                 (0, 5),                      # labeled component: 0-6
-                 (7, 8), (8, 9), (7, 9),      # label-free component
-                 (11, 3), (11, 7)]            # 10 isolated, 11 zero-weight
-        weights = [0.9, 0.3, 0.7, 0.5, 0.2, 0.8, 0.6, 0.4, 0.1,
-                   1.0, 0.5, 0.25, 0.0, 0.0]
+        # in key order: 0-6 is the labeled component and 7-9 the label-free
+        # one; 10 is isolated, and 11 meets 3 and 7 with zero weight
+        pairs = [(0, 3), (0, 5), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (3, 11),
+                 (4, 5), (5, 6), (7, 8), (7, 9), (7, 11), (8, 9)]
+        weights = [0.9, 0.1, 0.3, 0.7, 0.5, 0.2, 0.4, 0.0,
+                   0.8, 0.6, 1.0, 0.25, 0.0, 0.5]
         g = build_graph(12, pairs, weights)
         truth = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 1, 2])
         revealed = np.zeros(12, bool)

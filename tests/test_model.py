@@ -234,9 +234,18 @@ class TestSpecsAndParsing:
                 ModelSpec(**{**good, **bad})
 
     def test_labeled_dataset_validation(self):
-        LabeledDataset(truth=np.array([1, -1]), revealed=np.array([True, False]), n=2, q=2)
+        revealed = np.array([True, False])
+        LabeledDataset(truth=np.array([1, -1]), revealed=revealed, n=2, q=2)
         with pytest.raises(ValueError):
-            LabeledDataset(truth=np.array([2, 0]), revealed=np.array([True, False]), n=2, q=2)
+            LabeledDataset(truth=np.array([2, 0]), revealed=revealed, n=2, q=2)
+        # 1.0 and True pass wherever 1 does
+        for q, truth in ((2, [1.0, -1.0]), (2, [True, True]), (3, [2.0, 1.0]),
+                         (3, [True, False])):
+            LabeledDataset(truth=np.array(truth), revealed=revealed, n=2, q=q)
+        for q, truth in ((2, [0.5, 1]), (2, [np.nan, 1]), (2, [0, 1]), (3, [0.5, 1]),
+                         (3, [np.nan, 1]), (3, [3, 0]), (3, [-1, 0])):
+            with pytest.raises(ValueError, match="out of range"):
+                LabeledDataset(truth=np.array(truth), revealed=revealed, n=2, q=q)
 
     def test_parse_distribution(self):
         assert parse_distribution("gaussian:0.5:2") == Gaussian(0.5, 2)

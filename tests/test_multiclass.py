@@ -208,7 +208,7 @@ class TestRunMulticlass:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_message_raises(self):
         # finite weights whose incoming sums overflow to inf in the first step
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)], [1e308] * 5)
+        g = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [1e308] * 5)
         data = LabeledDataset(truth=np.array([0, 1, 2, 0]),
                               revealed=np.ones(4, bool), n=4, q=3)
         with pytest.raises(ValueError, match="non-finite"):
@@ -396,6 +396,21 @@ class TestKmeans:
         with pytest.warns(EmptyClusterWarning, match="1 non-empty clusters out of 2"):
             labels = kmeans(pts, 2, centers=np.zeros((2, 2)))
         assert not labels.any()
+
+    def test_nonfinite_points_refused_before_any_draw(self):
+        """Both paths raise on a NaN or infinite point, naming it, and draw
+        nothing from the rng."""
+        pts = np.concatenate([np.zeros((25, 2)), np.full((25, 2), 10.0)])
+        for value in (np.nan, np.inf, -np.inf):
+            bad = pts.copy()
+            bad[7, 1] = bad[30, 0] = value
+            rng = np.random.default_rng(3)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"point 7 is not \(2 in all\)"):
+                kmeans(bad, 2, rng)
+            with pytest.raises(ValueError, match=r"point 7 is not \(2 in all\)"):
+                kmeans(bad, 2, rng, centers=[[0.0, 0.0], [10.0, 10.0]])
+            assert rng.bit_generator.state == state
 
     def test_validation(self):
         with pytest.raises(ValueError):
