@@ -9,12 +9,12 @@ import numpy as np
 
 from nblw import (
     MessageState,
-    apply_nb,
     build_graph,
     center_weights,
     dense_nb_matrix,
     nb_multiply,
     pool,
+    power_iterate,
 )
 
 # A 5-node graph: the square 0-1-2-3 with the diagonal 0-2 and a pendant
@@ -44,11 +44,10 @@ for e in range(4):
 B = dense_nb_matrix(g)
 print("\nsparse == dense matrix product:", np.allclose(out, B @ v))
 
-# Messages grow geometrically; the state rescales itself each step and
-# remembers the logarithm of the total factor.
-state = MessageState(np.ones(g.num_half_edges))
-for _ in range(25):
-    state = apply_nb(g, state)
+# Messages grow geometrically; the state rescales itself whenever a bound
+# on that growth says it must, and remembers the logarithm of the total
+# factor.  power_iterate applies apply_nb and ends on one rescale.
+state = power_iterate(g, MessageState(np.ones(g.num_half_edges)), 25)
 print(f"\nafter 25 iterations: max |message| = {np.abs(state.values).max():.3f} "
       f"(rescaled), accumulated log-scale = {state.log_scale:.2f}")
 

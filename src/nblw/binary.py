@@ -53,19 +53,24 @@ def init_messages(g: WeightedGraph, data: LabeledDataset, rng) -> MessageState:
     """Messages out of a revealed node carry its +-1 label; others are
     i.i.d. Rademacher, independently per half-edge.
 
-    This is the one-vs-rest initialization of class 0 (the +1 class)."""
+    This is the one-vs-rest initialization of class 0 (the +1 class);
+    its max-abs bound is 1."""
     if data.q != 2:
         raise ValueError("binary walk needs q == 2 with +-1 labels")
-    return MessageState(_one_vs_rest(g, data, [0], rng)[0])
+    return MessageState(_one_vs_rest(g, data, [0], rng)[0], bound=1.0)
 
 
 def power_iterate(g: WeightedGraph, state: MessageState, k_max: int) -> MessageState:
-    """Apply the non-backtracking update k_max times."""
+    """Apply the non-backtracking update k_max times by :func:`apply_nb`,
+    which rescales only when the state's growth bound requires it, and
+    end on one max-absolute rescale if the last steps went unscanned.
+    For k_max > 0 the messages returned have max-abs 1 (unless all are
+    0), and a NaN or infinite message raises ValueError."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     for _ in range(k_max):
         state = apply_nb(g, state)
-    return state
+    return state.rescaled() if state.unscanned else state
 
 
 def align_to_labels(pooled: np.ndarray, data: LabeledDataset) -> np.ndarray:

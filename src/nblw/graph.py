@@ -13,15 +13,21 @@ per half-edge, instead of re-scanning each neighborhood per edge.
 
 Messages (one real value per half-edge) are carried in a
 :class:`MessageState`, which also accumulates the logarithm of the
-positive rescaling factors applied after each operator application.
-Message magnitudes grow geometrically with the iteration count, and the
-final cluster decision is a sign, so dividing by the max-absolute value
-each step changes nothing downstream while keeping float64 safe.
+positive rescaling factors applied so far.  Message magnitudes grow or
+shrink geometrically with the iteration count, and the final cluster
+decision is a sign, so dividing by the max-absolute value changes nothing
+downstream while keeping float64 safe.  That pass need not run every
+step: no product exceeds :attr:`WeightedGraph.growth_bound` times its
+input's max-absolute value, so the state carries an upper bound on its
+own and is scanned and divided only when that bound leaves
+[2**-500, 2**500] or after 32 unscanned steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +48,16 @@ __all__ = [
 # Largest n with n * n - 1 < 2**63: the (src, dst) keys src * n + dst fit int64.
 MAX_NODES = 3_037_000_499
 
+# MessageState.advance keeps a raw product unscanned while its max-abs bound
+# lies in [TINY, HUGE].  From bound 1, which every scan sets, a walk's bounds
+# are powers of the growth W, so a kept bound above 1 means W <= HUGE and
+# the next product stays below HUGE * W <= 2**1000: it cannot overflow.
+# MAX_UNSCANNED caps the steps between scans, because the bound can sit far
+# above the true max-abs, which could then sink into subnormals and
+# underflow to 0.
+TINY, HUGE = 2.0**-500, 2.0**500
+MAX_UNSCANNED = 32
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -59,6 +75,9 @@ class WeightedGraph:
     weight : float64 array, shape (2m,)
         Weight per half-edge, the pair weights twice over:
         ``weight[e] == weight[(e + m) % (2 * m)]``.
+    growth_bound : float
+        W, the largest per-node sum of |weight| over incoming half-edges,
+        computed on first use; ``|nb_multiply(g, x)|.max() <= W * |x|.max()``.
     """
 
     n: int
@@ -80,6 +99,12 @@ class WeightedGraph:
         array made from the first halves of ``src`` and ``dst``."""
         m = self.num_pairs
         return np.column_stack([self.src[:m], self.dst[:m]])
+
+    @cached_property
+    def growth_bound(self) -> float:
+        # cached in the instance dict, which the frozen dataclass leaves
+        # writable; with_pair_weights makes a new instance with its own
+        return float(np.bincount(self.dst, weights=np.abs(self.weight), minlength=self.n).max())
 
     def degrees(self) -> np.ndarray:
         """Out-degree (= undirected degree) per node."""
@@ -108,32 +133,58 @@ class MessageState:
     """One real message per half-edge plus accumulated rescale log-factor.
 
     The true (unrescaled) messages are ``values * exp(log_scale)``.
+    ``bound`` is an upper bound on ``max |values|`` (inf when unknown, 1
+    after a rescale) and ``unscanned`` the number of steps since the last
+    max-absolute scan.
     """
 
     values: np.ndarray
     iteration: int = 0
     log_scale: float = 0.0
+    bound: float = math.inf
+    unscanned: int = 0
 
-    def advance(self, values: np.ndarray) -> "MessageState":
-        """The next state from the raw operator product ``values``, divided
-        by its max-absolute value, whose log is added to ``log_scale``.
-        A NaN or infinite message raises ValueError."""
+    def advance(self, values: np.ndarray, growth: float = math.inf) -> "MessageState":
+        """The next state from ``values``, the raw product of this state's
+        values by an operator that multiplies max-absolute values by at
+        most ``growth``.  While ``bound * growth`` lies in
+        [2**-500, 2**500] and fewer than 32 steps have passed unscanned,
+        ``values`` is kept as it is, with that bound; otherwise it is
+        :meth:`rescaled`, which raises ValueError on a NaN or infinite
+        message.  The default growth, inf, rescales every step."""
+        bound = self.bound * growth
+        state = MessageState(values, self.iteration + 1, self.log_scale, bound, self.unscanned + 1)
+        if TINY <= bound <= HUGE and state.unscanned < MAX_UNSCANNED:
+            return state
+        return state.rescaled()
+
+    def rescaled(self) -> "MessageState":
+        """The same messages divided by their max-absolute value, whose log
+        is added to ``log_scale``; bound 1.  A NaN or infinite message
+        raises ValueError."""
+        values = self.values
         scale = max(values.max(), -values.min()) if values.size else 0.0
         if not np.isfinite(scale):
-            raise ValueError(f"non-finite message after iteration {self.iteration + 1}")
+            raise ValueError(f"non-finite message after iteration {self.iteration}")
         log_scale = self.log_scale
         if scale > 0.0:
             values = values / scale
             log_scale += np.log(scale)
-        return MessageState(values, self.iteration + 1, log_scale)
+        return MessageState(values, self.iteration, log_scale, 1.0)
 
     def unscaled(self) -> np.ndarray:
-        # exp(log_scale) overflows after enough growth steps; meant for
-        # moment analysis at small iteration counts, not long runs
-        return self.values * np.exp(self.log_scale)
+        """``values * exp(log_scale)``, the messages without rescaling.
+        Raises ValueError when that overflows, as it does after enough
+        growth steps: meant for moment analysis at small iteration counts,
+        not long runs."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.values * np.exp(self.log_scale)
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"unscaled messages are not finite (log-scale {self.log_scale:.4g})")
+        return out
 
     def copy(self) -> "MessageState":
-        return MessageState(self.values.copy(), self.iteration, self.log_scale)
+        return replace(self, values=self.values.copy())
 
 
 def build_graph(n, pairs, weights) -> WeightedGraph:
@@ -243,13 +294,16 @@ def nb_multiply_t(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
 
 
 def apply_nb(g: WeightedGraph, v: MessageState) -> MessageState:
-    """One non-backtracking update of a message state, rescaled by
-    :meth:`MessageState.advance`."""
-    return v.advance(nb_multiply(g, v.values))
+    """One non-backtracking update of a message state, passed with
+    ``g.growth_bound`` to :meth:`MessageState.advance`, which rescales it
+    only when the state's bound requires it.  ``unscaled()`` of the result
+    is the raw product of ``v.unscaled()`` either way."""
+    return v.advance(nb_multiply(g, v.values), g.growth_bound)
 
 
 def apply_nb_transpose(g: WeightedGraph, v: MessageState) -> MessageState:
-    """One update with the transposed operator; see :func:`apply_nb`."""
+    """One update with the transposed operator, rescaled every step: B^T
+    is not bounded by ``g.growth_bound``."""
     return v.advance(nb_multiply_t(g, v.values))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     conditional_message_moments,
+    random_graph,
     restrict_to_ball,
     transfer_messages,
 )
@@ -19,6 +20,7 @@ from nblw import (
     gaussian_blobs,
     init_messages,
     make_instance,
+    nb_multiply,
     pool,
     power_iterate,
     run_binary,
@@ -175,6 +177,62 @@ class TestRunBinary:
         est, pooled = run_binary(g, data, 30, np.random.default_rng(walk_seed))
         assert np.array_equal(pooled, -raw)
         assert accuracy(est, data.truth, "all", data.revealed) >= 0.95
+
+
+def max_abs_walk(g, x, k):
+    """k products, each divided by its max-absolute value."""
+    for _ in range(k):
+        x = nb_multiply(g, x)
+        scale = np.abs(x).max()
+        if scale > 0:
+            x = x / scale
+    return x
+
+
+class TestPowerIterate:
+    def test_ends_rescaled_with_the_raw_product(self):
+        g, _, data, _ = small_instance(seed=5, p_in=Gaussian(0.5, 1), p_out=Gaussian(-0.5, 1))
+        init = init_messages(g, data, np.random.default_rng(6))
+        for k in (1, 7, 30, 70):
+            state = power_iterate(g, init.copy(), k)
+            assert np.abs(state.values).max() == 1.0
+            assert (state.bound, state.unscanned, state.iteration) == (1.0, 0, k)
+            raw = init.values
+            for _ in range(k):
+                raw = nb_multiply(g, raw)
+            assert np.abs(state.unscaled() - raw).max() <= 1e-9 * np.abs(raw).max()
+
+    def test_pooled_signs_survive_extreme_weight_scales(self):
+        g, _, data, _ = small_instance(seed=8, p_in=Gaussian(0.5, 1), p_out=Gaussian(-0.5, 1))
+        init = init_messages(g, data, np.random.default_rng(9))
+        signs = {}
+        for c in (2.0**600, 2.0**-600, 1.0):
+            gc = g.with_pair_weights(g.pair_weights() * c)
+            pooled = pool(gc, power_iterate(gc, init.copy(), 30))
+            assert np.all(np.isfinite(pooled)) and np.abs(pooled).max() > 0
+            signs[c] = np.sign(pooled)
+        assert np.array_equal(signs[2.0**600], signs[1.0])
+        assert np.array_equal(signs[2.0**-600], signs[1.0])
+
+    def test_long_walk_under_a_loose_bound_does_not_underflow(self):
+        """W > 1 while the walk shrinks by about 0.3 a step: the bound never
+        leaves its range in 1200 steps, so only the cap on unscanned steps
+        keeps the messages from underflowing to 0."""
+        rng = np.random.default_rng(2)
+        g = random_graph(rng, 12, p=0.3, w_low=-0.35, w_high=0.35)
+        assert 1.0 < g.growth_bound and 1200 * np.log2(g.growth_bound) < 500
+        x = rng.choice([-1.0, 1.0], g.num_half_edges)
+        want = np.sign(pool(g, MessageState(max_abs_walk(g, x, 1200))))
+        assert np.count_nonzero(want) == g.n
+        state = power_iterate(g, MessageState(x, bound=1.0), 1200)
+        assert np.array_equal(np.sign(pool(g, state)), want)
+
+    def test_nan_under_a_finite_bound_raises(self):
+        g, _, data, _ = small_instance()
+        values = np.ones(g.num_half_edges)
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            power_iterate(g, MessageState(values, bound=1.0), 3)
 
 
 class TestAccuracy:

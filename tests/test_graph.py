@@ -296,6 +296,67 @@ class TestApplyNB:
             apply_nb_transpose(g, MessageState(np.ones(g.num_half_edges)))
 
 
+class TestGrowthBound:
+    def test_is_largest_incoming_abs_weight_sum(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            g = random_graph(rng, int(rng.integers(2, 13)))
+            per_node = [sum(abs(g.weight[e]) for e in range(g.num_half_edges) if g.dst[e] == i)
+                        for i in range(g.n)]
+            assert g.growth_bound == pytest.approx(max(per_node), rel=1e-12)
+            assert np.abs(dense_nb_matrix(g)).sum(1).max() <= g.growth_bound * (1 + 1e-12)
+
+    def test_new_weights_get_their_own_bound(self):
+        rng = np.random.default_rng(47)
+        g = random_graph(rng, 10)
+        w = g.pair_weights()
+        assert g.with_pair_weights(2 * w).growth_bound == 2 * g.growth_bound
+        assert g.with_pair_weights(w).growth_bound == g.growth_bound
+
+    def test_empty_graph(self):
+        assert build_graph(3, np.empty((0, 2)), []).growth_bound == 0.0
+
+
+class TestMessageState:
+    def test_advance_keeps_raw_product_while_bound_allows(self):
+        rng = np.random.default_rng(53)
+        g = random_graph(rng, 10)
+        x = rng.choice([-1.0, 1.0], g.num_half_edges)
+        state = MessageState(x, bound=1.0)
+        for k in range(1, 4):
+            raw = nb_multiply(g, state.values)
+            state = apply_nb(g, state)
+            assert np.array_equal(state.values, raw)
+            assert state.bound == pytest.approx(g.growth_bound ** k)
+            assert (state.iteration, state.unscanned, state.log_scale) == (k, k, 0.0)
+
+    def test_advance_rescales_when_bound_leaves_range_or_cap_is_hit(self):
+        x = np.array([3.0, -4.0])
+        for bound, growth in ((1.0, 2.0**501), (1.0, 2.0**-501), (np.inf, 1.0), (0.0, 1.0)):
+            out = MessageState(x, bound=bound).advance(x, growth)
+            assert np.array_equal(out.values, [0.75, -1.0]) and out.log_scale == np.log(4.0)
+            assert (out.bound, out.unscanned, out.iteration) == (1.0, 0, 1)
+        state = MessageState(x, bound=1.0)
+        for k in range(1, 32):
+            state = state.advance(x, 1.0)
+            assert state.unscanned == k and state.log_scale == 0.0
+        state = state.advance(x, 1.0)
+        assert state.unscanned == 0 and state.log_scale == np.log(4.0)
+
+    def test_copy_keeps_bound_and_count(self):
+        state = MessageState(np.ones(4), 3, 0.5, 2.0, 3)
+        c = state.copy()
+        assert c.values is not state.values and np.array_equal(c.values, state.values)
+        assert (c.iteration, c.log_scale, c.bound, c.unscanned) == (3, 0.5, 2.0, 3)
+
+    def test_unscaled_overflow_raises(self):
+        state = MessageState(np.array([1.0, -1.0, 0.0]), log_scale=800.0)
+        with pytest.raises(ValueError, match="not finite"):
+            state.unscaled()
+        assert np.array_equal(MessageState(np.array([1.0, 0.0]), log_scale=700.0).unscaled(),
+                              [np.exp(700.0), 0.0])
+
+
 class TestTranspose:
     def test_adjoint_identity(self):
         rng = np.random.default_rng(17)
