@@ -6,7 +6,8 @@ Zhu, Ghahramani & Lafferty (ICML 2003), L_FF X_F = W_FL Y_L, where
 L = D - W is the graph Laplacian of the raw nonnegative similarities: each
 free row is the similarity-weighted average of its neighbors' rows.  The
 system is solved by conjugate gradients with the Jacobi preconditioner
-D^-1, all q columns at once.  Free nodes in components without a label
+D^-1, the q classes side by side: one contiguous row of free-node scores
+per class, stepped together.  Free nodes in components without a label
 have a zero right-hand side and keep all-zero rows.  The graph may first
 be pruned to each node's top-k most similar neighbors.
 """
@@ -51,13 +52,6 @@ def sparsify_knn(g: WeightedGraph, similarities, k: int = 3) -> WeightedGraph:
     return build_graph(g.n, g.pairs[keep_pair], g.pair_weights()[keep_pair])
 
 
-def _neighbor_sums(src, dst, weight, x, n):
-    """Row i of the result is the sum of weight * x[src] over edges into i.
-    float64 also with no edges, where ``bincount`` returns int64 zeros."""
-    return np.stack([np.bincount(dst, weights=weight * x[src, c], minlength=n)
-                     for c in range(x.shape[1])], axis=1).astype(np.float64, copy=False)
-
-
 def propagate_scores(
     g: WeightedGraph,
     data: LabeledDataset,
@@ -68,11 +62,16 @@ def propagate_scores(
 
     ``scores`` is the (n, q) score matrix: one-hot rows for revealed
     nodes, the conjugate-gradient iterate for free nodes, zero rows for the
-    rest.  ``deltas[i]`` is max |D^-1 r| over the free rows and the columns
+    rest.  ``deltas[i]`` is max |D^-1 r| over the free nodes and the classes
     after iteration i, r = W_FL Y_L - L_FF X_F being the residual: the
     most that one Jacobi sweep (replacing each free row by its neighbors'
     weighted average) would move a score from that iterate.  The solve
     stops once a delta is below ``tol`` or after ``max_iter`` iterations.
+
+    The iterate, residual and directions are held class-major, one
+    contiguous row of the free nodes per class, so every update runs over
+    nf values at once; the product with L_FF gathers and sums one class row
+    at a time into buffers allocated once per solve.
     """
     if not data.revealed.any():
         raise ValueError("label propagation needs at least one revealed label")
@@ -87,34 +86,48 @@ def propagate_scores(
     degree = np.bincount(g.dst, weights=g.weight, minlength=g.n)
     free = ~data.revealed & (degree > 0)
     nf = int(free.sum())
-    d = degree[free][:, None]
+    d = degree[free]
 
-    # right-hand side W_FL Y_L, then the free-to-free edges renumbered
-    r = _neighbor_sums(g.src, g.dst, g.weight, scores, g.n)[free]
+    # right-hand side W_FL Y_L, one row per class, then the free-to-free
+    # edges renumbered
+    r = np.empty((q, nf))
+    for c in range(q):
+        r[c] = np.bincount(g.dst, weights=g.weight * scores[g.src, c], minlength=g.n)[free]
     inner = free[g.src] & free[g.dst]
     index = np.cumsum(free) - 1
     src, dst, weight = index[g.src[inner]], index[g.dst[inner]], g.weight[inner]
 
-    x = np.zeros((nf, q))
+    x = np.zeros((q, nf))
     z = r / d
     p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
+    ap = np.empty((q, nf))
+    scaled = np.empty((q, nf))
+    gathered = np.empty(src.size)
+    rz = np.einsum("ij,ij->i", r, z)
     deltas = []
     for _ in range(max_iter):
-        ap = d * p - _neighbor_sums(src, dst, weight, p, nf)
-        pap = np.einsum("ij,ij->j", p, ap)
-        # a solved column has r = p = 0; its step and direction stay 0
-        step = np.divide(rz, pap, out=np.zeros(q), where=pap > 0)
-        x += step * p
-        r -= step * ap
-        z = r / d
+        # ap = L_FF p = D p - W_FF p, class row by class row
+        np.multiply(p, d, out=ap)
+        for c in range(q):
+            # src is in range; "clip" writes to out without the bounds
+            # check's intermediate copy
+            np.take(p[c], src, out=gathered, mode="clip")
+            gathered *= weight
+            ap[c] -= np.bincount(dst, weights=gathered, minlength=nf)
+        pap = np.einsum("ij,ij->i", p, ap)
+        # a solved class has r = p = 0; its step and direction stay 0
+        step = np.divide(rz, pap, out=np.zeros(q), where=pap > 0)[:, None]
+        x += np.multiply(step, p, out=scaled)
+        r -= np.multiply(step, ap, out=scaled)
+        np.divide(r, d, out=z)
         deltas.append(float(np.abs(z).max(initial=0.0)))
         if deltas[-1] < tol:
             break
-        rz_next = np.einsum("ij,ij->j", r, z)
-        p = z + np.divide(rz_next, rz, out=np.zeros(q), where=rz > 0) * p
+        rz_next = np.einsum("ij,ij->i", r, z)
+        p *= np.divide(rz_next, rz, out=np.zeros(q), where=rz > 0)[:, None]
+        p += z
         rz = rz_next
-    scores[free] = x
+    scores[free] = x.T
     return scores, deltas
 
 

@@ -209,6 +209,35 @@ class TestLabelPropagation:
         assert len(deltas) == 2 and deltas[-1] > 1e-3
         assert deltas[-1] == pytest.approx(jacobi, rel=1e-12)
 
+    def test_blobs_knn_graph_matches_sparse_solve(self):
+        """q = 3 on a kNN-3 blob graph of 3000 nodes: at tol = 1e-12 the
+        iterate matches a direct sparse solve of L_FF X = W_FL Y_L over the
+        free nodes of labeled components; the rest keep zero rows."""
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.linalg import spsolve
+
+        pts, truth = gaussian_blobs(3000, [[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]], 1.0,
+                                    np.random.default_rng(7))
+        res = subsample_and_weight(pts, 4.0, "euclidean", np.random.default_rng(8))
+        g = sparsify_knn(res.graph.with_pair_weights(res.similarities), res.similarities, 3)
+        data = dataset_from_truth(truth, 0.1, np.random.default_rng(9))
+        scores, deltas = propagate_scores(g, data, tol=1e-12)
+        assert deltas[-1] < 1e-12
+
+        w = sparse.csr_matrix((g.weight, (g.src, g.dst)), shape=(g.n, g.n))
+        degree = np.asarray(w.sum(axis=1)).ravel()
+        _, component = connected_components(w, directed=False)
+        reached = np.isin(component, component[data.revealed])
+        free = ~data.revealed & (degree > 0) & reached
+        assert np.all(scores[~data.revealed & ~reached] == 0.0)
+        labeled = np.flatnonzero(data.revealed)
+        lap_ff = (sparse.diags(degree) - w)[free][:, free]
+        rhs = w[free][:, labeled] @ np.eye(3)[truth[labeled]]
+        exact = spsolve(lap_ff.tocsc(), rhs)
+        np.testing.assert_allclose(scores[free], exact, rtol=0, atol=1e-9)
+        assert np.array_equal(scores[free].argmax(axis=1), exact.argmax(axis=1))
+
     def test_class_without_labels_keeps_zero_column(self):
         """tol = 0 runs to max_iter; a class no node reveals has a zero
         right-hand side and its column stays exactly 0 (no 0/0)."""
