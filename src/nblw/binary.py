@@ -148,21 +148,8 @@ def accuracy(est, truth, scope: str = "all", revealed=None) -> float:
     if revealed.any():
         return float(np.mean(est[keep] == truth[keep]))
     # est and truth as indices into their joint sorted values
-    index = _rank_index(np.concatenate([est[keep], truth[keep]]))
+    _, index = np.unique(np.concatenate([est[keep], truth[keep]]), return_inverse=True)
     return match_labels(*np.split(index, 2))[0]
-
-
-def _rank_index(values):
-    """Each value's index into the sorted distinct values (the inverse of
-    ``np.unique``).  Integers spanning at most ``values.size`` take it from
-    a presence mask instead of a sort."""
-    if values.dtype.kind in "iu":
-        low = values.min()
-        if int(values.max()) - int(low) <= values.size:
-            offset = np.subtract(values, low, dtype=np.int64)
-            lookup = np.cumsum(np.bincount(offset) > 0) - 1
-            return lookup[offset]
-    return np.unique(values, return_inverse=True)[1]
 
 
 def match_labels(est, truth):

@@ -70,8 +70,9 @@ def propagate_scores(
 
     The iterate, residual and directions are held class-major, one
     contiguous row of the free nodes per class, so every update runs over
-    nf values at once; the product with L_FF gathers and sums one class row
-    at a time into buffers allocated once per solve.
+    nf values at once.  The product with L_FF gathers and sums one class
+    row at a time; its gather and product buffers are allocated once per
+    solve, while ``bincount`` returns a fresh row each time.
     """
     if not data.revealed.any():
         raise ValueError("label propagation needs at least one revealed label")
@@ -101,7 +102,6 @@ def propagate_scores(
     z = r / d
     p = z.copy()
     ap = np.empty((q, nf))
-    scaled = np.empty((q, nf))
     gathered = np.empty(src.size)
     rz = np.einsum("ij,ij->i", r, z)
     deltas = []
@@ -117,8 +117,8 @@ def propagate_scores(
         pap = np.einsum("ij,ij->i", p, ap)
         # a solved class has r = p = 0; its step and direction stay 0
         step = np.divide(rz, pap, out=np.zeros(q), where=pap > 0)[:, None]
-        x += np.multiply(step, p, out=scaled)
-        r -= np.multiply(step, ap, out=scaled)
+        x += step * p
+        r -= step * ap
         np.divide(r, d, out=z)
         deltas.append(float(np.abs(z).max(initial=0.0)))
         if deltas[-1] < tol:

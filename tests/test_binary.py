@@ -26,7 +26,7 @@ from nblw import (
     run_binary,
     subsample_and_weight,
 )
-from nblw.binary import _one_vs_rest, _rank_index, align_to_labels, decide, match_labels
+from nblw.binary import _one_vs_rest, align_to_labels, decide
 
 
 def small_instance(seed=0, **kw):
@@ -271,25 +271,6 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.ones(3), np.ones(4))
-
-    @pytest.mark.parametrize("labels", [
-        np.array([1, -1]),                      # +-1, mask path
-        np.arange(5),                           # 0..q-1, mask path
-        np.array([0, 5]),                       # a gap, mask path
-        np.arange(-100, 101, dtype=np.int8),    # offsets past int8: mask path
-        np.array([-3, 0, 10**12]),              # span beyond 2n: np.unique
-        np.array([-1.0, 0.5, 2.0]),             # floats: np.unique
-    ])
-    def test_rank_index_matches_unique(self, labels):
-        """With nothing revealed, est and truth are scored as indices into
-        their joint sorted values, as ``np.unique`` numbers them."""
-        rng = np.random.default_rng(labels.size)
-        est, truth = rng.choice(labels, 300), rng.choice(labels, 300)
-        truth[:labels.size] = labels            # every label occurs
-        joint = np.concatenate([est, truth])
-        _, want = np.unique(joint, return_inverse=True)
-        assert np.array_equal(_rank_index(joint), want)
-        assert accuracy(est, truth) == match_labels(*np.split(want, 2))[0]
 
 
 class TestInvariants:
