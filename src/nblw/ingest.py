@@ -9,8 +9,10 @@ graph.  Nothing here ever touches all n^2 pairs.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +32,12 @@ __all__ = [
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# the decoder's wording of each magic's file kind and payload
+_IDX_NAMES = {IDX_IMAGES_MAGIC: ("image", "pixels"), IDX_LABELS_MAGIC: ("label", "labels")}
 
 # Pairs per block of the sampled distance kernel; at d = 784 a block's
 # temporaries take about 25 MB, and 1024 timed faster than 256 or 4096.
 _PAIR_BLOCK = 1024
-
-
-def _open_maybe_gzip(path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
 
 
 def _read_exact(fh, count, what):
@@ -51,33 +47,43 @@ def _read_exact(fh, count, what):
     return buf
 
 
-def read_idx(path):
-    """Parse an IDX image file (big-endian, magic 0x00000803).
+def _decode_idx(path, magic):
+    """The uint8 array of a plain or gzipped IDX file that must carry ``magic``,
+    whose low byte counts the big-endian uint32 sizes that follow it."""
+    ndim, (kind, part) = magic & 0xFF, _IDX_NAMES[magic]
+    try:
+        with open(path, "rb") as raw:
+            zipped = raw.read(2) == b"\x1f\x8b"
+            raw.seek(0)
+            fh = gzip.GzipFile(fileobj=raw) if zipped else raw
+            found, *shape = struct.unpack(f">{1 + ndim}I", _read_exact(fh, 4 + 4 * ndim, "header"))
+            if found != magic:
+                raise ValueError(f"bad IDX {kind} magic 0x{found:08x} "
+                                 f"(expected 0x{magic:08x})")
+            payload = _read_exact(fh, math.prod(shape), part)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"cannot decompress {path}: {exc}") from None
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
-    Returns (count, rows, cols, pixels) with pixels scaled to [0, 1].
-    Transparently decompresses gzip.
+
+def _unit_pixels(pixels):
+    """uint8 pixels as float32 in [0, 1], the one scaling of both image loaders."""
+    return np.divide(pixels, 255.0, dtype=np.float32)
+
+
+def read_idx(path):
+    """Parse a plain or gzipped IDX image file (big-endian, magic 0x00000803).
+
+    Returns (count, rows, cols, pixels), pixels float32 scaled to [0, 1].
     """
-    with _open_maybe_gzip(path) as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"bad IDX image magic 0x{magic:08x} (expected 0x{IDX_IMAGES_MAGIC:08x})"
-            )
-        raw = _read_exact(fh, count * rows * cols, "pixels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    return count, rows, cols, pixels.astype(np.float32) / 255.0
+    pixels = _decode_idx(path, IDX_IMAGES_MAGIC)
+    return (*pixels.shape, _unit_pixels(pixels))
 
 
 def read_idx_labels(path):
-    """Parse an IDX label file (big-endian, magic 0x00000801)."""
-    with _open_maybe_gzip(path) as fh:
-        magic, count = struct.unpack(">II", _read_exact(fh, 8, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"bad IDX label magic 0x{magic:08x} (expected 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        raw = _read_exact(fh, count, "labels")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    """Parse a plain or gzipped IDX label file (big-endian, magic
+    0x00000801) into int64 labels."""
+    return _decode_idx(path, IDX_LABELS_MAGIC).astype(np.int64)
 
 
 def read_csv_vectors(path, header: bool = False):
@@ -187,20 +193,31 @@ def subsample_and_weight(points, alpha: float, metric: str = "euclidean", rng=No
 
 
 def load_mnist_subset(images_path, labels_path, digits):
-    """Flatten the images whose label is in ``digits``.
+    """Flatten the images whose label is in ``digits``, from plain or
+    gzipped IDX files.
 
-    Returns (vectors, truth) where vectors is (n, rows*cols) float64 and
-    truth holds each item's index into ``digits`` (0-based classes).
+    Returns (vectors, truth) where vectors is (n, rows*cols) float64, the
+    kept rows of :func:`read_idx`'s pixels widened, and truth holds each
+    item's index into ``digits`` (0-based classes).  Fewer than two digits,
+    files that disagree on the item count, a repeated digit, or a digit
+    that no label carries raise ValueError.
     """
     digits = tuple(int(d) for d in digits)
     if len(digits) < 2:
         raise ValueError("need at least two digit classes")
-    count, rows, cols, pixels = read_idx(images_path)
-    labels = read_idx_labels(labels_path)
-    if labels.shape[0] != count:
+    images = _decode_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _decode_idx(labels_path, IDX_LABELS_MAGIC)
+    if labels.shape[0] != images.shape[0]:
         raise ValueError("image and label files disagree on the item count")
+    if len(set(digits)) < len(digits):
+        raise ValueError(f"digits {digits} repeat a value")
+    absent = [d for d, seen in zip(digits, np.isin(digits, labels)) if not seen]
+    if absent:
+        raise ValueError(f"no label in {labels_path} is digit {absent[0]}")
     keep = np.isin(labels, digits)
-    vectors = pixels[keep].reshape(-1, rows * cols).astype(np.float64)
-    lookup = {d: i for i, d in enumerate(digits)}
-    truth = np.array([lookup[d] for d in labels[keep]], dtype=np.int64)
-    return vectors, truth
+    # select on the uint8 images, so that only the kept ones are converted
+    images = images[keep]
+    vectors = _unit_pixels(images).reshape(images.shape[0], -1).astype(np.float64)
+    lookup = np.zeros(max(digits) + 1, dtype=np.int64)
+    lookup[list(digits)] = np.arange(len(digits))
+    return vectors, lookup[labels[keep]]

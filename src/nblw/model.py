@@ -194,8 +194,8 @@ class ModelSpec:
 class LabeledDataset:
     """Ground-truth labels plus the revealed mask.
 
-    Labels are +-1 when q == 2 and 0..q-1 otherwise.  Exactly
-    floor(eta * n) entries of ``revealed`` are set.
+    Labels are +-1 when q == 2 and 0..q-1 otherwise, for q >= 2.
+    Exactly floor(eta * n) entries of ``revealed`` are set.
     """
 
     truth: np.ndarray
@@ -204,6 +204,8 @@ class LabeledDataset:
     q: int
 
     def __post_init__(self):
+        if self.q < 2:
+            raise ValueError(f"q must be at least 2, got {self.q}")
         self.truth = np.asarray(self.truth)
         self.revealed = np.asarray(self.revealed, dtype=bool)
         if self.truth.shape != (self.n,) or self.revealed.shape != (self.n,):

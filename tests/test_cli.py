@@ -256,6 +256,43 @@ class TestCluster:
         assert row["n"] == str(n_img)
         assert float(row["acc_all"]) > 0.9
 
+    def test_idx_faults_are_one_line_errors(self, tmp_path, capsys):
+        """A truncated or corrupt gzipped file, a repeated digit and a digit
+        that no label carries each end in one error line, exit 1."""
+        import gzip
+        import struct
+
+        labels = np.arange(20, dtype=np.uint8) % 3
+        images = gzip.compress(struct.pack(">IIII", 0x00000803, 20, 4, 4)
+                               + (np.arange(320) % 256).astype(np.uint8).tobytes())
+        corrupt = bytearray(images)
+        corrupt[10] = 0x07  # a deflate block of the reserved type
+        (tmp_path / "lab").write_bytes(struct.pack(">II", 0x00000801, 20) + labels.tobytes())
+        cases = [
+            (images[:len(images) // 2], "0,1", "cannot decompress .*img.gz: Compressed file"),
+            (bytes(corrupt), "0,1", "cannot decompress .*img.gz: .*invalid block type"),
+            (images, "2,2", r"digits \(2, 2\) repeat a value"),
+            (images, "0,7", "no label in .*lab is digit 7"),
+        ]
+        for data, digits, message in cases:
+            (tmp_path / "img.gz").write_bytes(data)
+            code, out = run_cli([
+                "cluster", "--dataset", "mnist", "--mnist-images", str(tmp_path / "img.gz"),
+                "--mnist-labels", str(tmp_path / "lab"), "--digits", digits, "--alpha", "4",
+            ])
+            err = capsys.readouterr().err
+            assert (code, out) == (1, "")
+            assert re.fullmatch(f"nblw: error: {message}.*\n", err), err
+
+    @pytest.mark.parametrize("method", ["nblw", "lp"])
+    def test_single_label_csv_is_one_line_error(self, tmp_path, capsys, method):
+        path = tmp_path / "one.csv"
+        path.write_text("".join(f"{i},{i % 7},4\n" for i in range(60)))
+        code, out = run_cli(["cluster", "--dataset", "csv", "--path", str(path),
+                             "--alpha", "6", "--method", method])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "nblw: error: q must be at least 2, got 1\n"
+
 
 class TestTheoryCmd:
     def test_point_mass_fixed_points(self):

@@ -299,3 +299,87 @@ class TestLoadMnistSubset:
         write_idx_labels(tmp_path / "lab", [0, 1])
         with pytest.raises(ValueError, match="count"):
             load_mnist_subset(tmp_path / "img", tmp_path / "lab", (0, 1))
+
+
+class TestIdxDecoder:
+    """The one decoder behind read_idx, read_idx_labels and load_mnist_subset."""
+
+    def test_gzipped_labels_roundtrip(self, tmp_path):
+        path = tmp_path / "lab.idx.gz"
+        path.write_bytes(gzip.compress(struct.pack(">II", 0x00000801, 4) + bytes([9, 0, 255, 3])))
+        labels = read_idx_labels(path)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, [9, 0, 255, 3])
+
+    def test_truncated_label_payload(self, tmp_path):
+        path = tmp_path / "short.idx"
+        path.write_bytes(struct.pack(">II", 0x00000801, 5) + b"\x00" * 4)
+        with pytest.raises(ValueError, match="truncated IDX file: expected 5 bytes of labels"):
+            read_idx_labels(path)
+
+    def test_label_file_shorter_than_header(self, tmp_path):
+        path = tmp_path / "stub.idx"
+        path.write_bytes(struct.pack(">II", 0x00000801, 5)[:7])
+        with pytest.raises(ValueError, match="truncated IDX file: expected 8 bytes of header"):
+            read_idx_labels(path)
+
+    def test_image_file_as_labels(self, tmp_path):
+        path = tmp_path / "img.idx"
+        write_idx_images(path, np.zeros((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="bad IDX label magic 0x00000803"):
+            read_idx_labels(path)
+
+    @pytest.mark.parametrize("read, header", [
+        (read_idx, struct.pack(">IIII", 0x00000803, 20, 4, 4)),
+        (read_idx_labels, struct.pack(">II", 0x00000801, 320)),
+    ], ids=["images", "labels"])
+    def test_truncated_gzip_names_the_file(self, tmp_path, read, header):
+        whole = gzip.compress(header + bytes(range(256)) + bytes(64))
+        path = tmp_path / "cut.idx.gz"
+        path.write_bytes(whole[:len(whole) // 2])
+        with pytest.raises(ValueError, match=f"cannot decompress {path}: "):
+            read(path)
+
+    @pytest.mark.parametrize("read", [read_idx, read_idx_labels])
+    def test_corrupt_gzip_names_the_file(self, tmp_path, read):
+        # byte 10 opens the deflate stream; 0x07 is a final block of the
+        # reserved type 3, which zlib refuses
+        whole = bytearray(gzip.compress(struct.pack(">II", 0x00000801, 3) + b"\x01\x02\x03"))
+        whole[10] = 0x07
+        path = tmp_path / "bad.idx.gz"
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match=f"cannot decompress {path}: .*invalid block type"):
+            read(path)
+
+
+class TestMnistDigits:
+    @pytest.fixture
+    def idx_pair(self, tmp_path):
+        rng = np.random.default_rng(11)
+        pixels = rng.integers(0, 256, size=(40, 4, 5)).astype(np.uint8)
+        labels = rng.permutation(np.arange(40) % 4).astype(np.uint8)
+        write_idx_images(tmp_path / "img", pixels)
+        write_idx_labels(tmp_path / "lab", labels)
+        return tmp_path / "img", tmp_path / "lab", labels
+
+    @pytest.mark.parametrize("digits", [(0, 1), (3, 0, 2), (2, 1, 0, 3)])
+    def test_vectors_are_read_idx_pixels_widened(self, idx_pair, digits):
+        images, labels_path, labels = idx_pair
+        X, truth = load_mnist_subset(images, labels_path, digits)
+        keep = np.isin(labels, digits)
+        want = read_idx(images)[3][keep].reshape(keep.sum(), -1).astype(np.float64)
+        assert X.dtype == np.float64 and X.shape == want.shape
+        assert X.tobytes() == want.tobytes()
+        assert truth.dtype == np.int64
+        assert np.array_equal(truth, [digits.index(d) for d in labels[keep]])
+
+    def test_repeated_digit(self, idx_pair):
+        images, labels_path, _ = idx_pair
+        with pytest.raises(ValueError, match=r"digits \(3, 1, 3\) repeat a value"):
+            load_mnist_subset(images, labels_path, (3, 1, 3))
+
+    @pytest.mark.parametrize("absent", [7, 300, -1])
+    def test_absent_digit(self, idx_pair, absent):
+        images, labels_path, _ = idx_pair
+        with pytest.raises(ValueError, match=f"no label in .*lab is digit {absent}$"):
+            load_mnist_subset(images, labels_path, (0, absent))

@@ -12,6 +12,7 @@ from nblw import (
     ModelSpec,
     PointMass,
     Uniform,
+    dataset_from_truth,
     draw_er_pairs,
     draw_labels,
     draw_revealed_set,
@@ -246,6 +247,14 @@ class TestSpecsAndParsing:
                          (3, [np.nan, 1]), (3, [3, 0]), (3, [-1, 0])):
             with pytest.raises(ValueError, match="out of range"):
                 LabeledDataset(truth=np.array(truth), revealed=revealed, n=2, q=q)
+
+    def test_single_class_dataset_rejected(self):
+        # one class would reach the walk as q = 1 and fail with a rank loss
+        with pytest.raises(ValueError, match="q must be at least 2, got 1$"):
+            dataset_from_truth(np.zeros(5, dtype=int), 0.4, np.random.default_rng(0))
+        for q in (1, 0):
+            with pytest.raises(ValueError, match=f"q must be at least 2, got {q}$"):
+                LabeledDataset(truth=np.zeros(2), revealed=np.ones(2, bool), n=2, q=q)
 
     def test_parse_distribution(self):
         assert parse_distribution("gaussian:0.5:2") == Gaussian(0.5, 2)
