@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -35,32 +37,50 @@ IDX_LABELS_MAGIC = 0x00000801
 # the decoder's wording of each magic's file kind and payload
 _IDX_NAMES = {IDX_IMAGES_MAGIC: ("image", "pixels"), IDX_LABELS_MAGIC: ("label", "labels")}
 
-# Pairs per block of the sampled distance kernel; at d = 784 a block's
-# temporaries take about 25 MB, and 1024 timed faster than 256 or 4096.
-_PAIR_BLOCK = 1024
+# Floats per gathered endpoint array in one block of the sampled distance
+# kernel (512 KiB): a block holds budget // d pairs, and at least two.  On
+# two threads at d = 784 and 1e5 pairs (2-core VM, median) it took 144 ms,
+# against 158 ms with 1024-pair blocks and 353 ms with 4096-pair blocks;
+# one thread on 1024-pair blocks took 304 ms.
+_BLOCK_FLOATS = 1 << 16
+# Bytes per read when a gzipped IDX file is drained after its payload.
+_DRAIN_CHUNK = 1 << 20
 
 
-def _read_exact(fh, count, what):
-    buf = fh.read(count)
+def _read_exact(fh, count, what, path, room):
+    """``count`` bytes of ``fh``.  A count above ``room``, the most the file
+    can still hold, is never passed to ``read``: that keeps a corrupt header
+    from asking for terabytes, or for more than the index range."""
+    buf = fh.read(count) if count <= room else b""
     if len(buf) != count:
-        raise ValueError(f"truncated IDX file: expected {count} bytes of {what}")
+        raise ValueError(f"truncated IDX file {path}: expected {count} bytes of {what}")
     return buf
 
 
 def _decode_idx(path, magic):
     """The uint8 array of a plain or gzipped IDX file that must carry ``magic``,
-    whose low byte counts the big-endian uint32 sizes that follow it."""
+    whose low byte counts the big-endian uint32 sizes that follow it.
+
+    A plain file's sizes are checked against its length before the payload
+    is read.  A gzipped file is read to the end of its data after the
+    payload, so that gzip checks the CRC32 and length trailer.
+    """
     ndim, (kind, part) = magic & 0xFF, _IDX_NAMES[magic]
+    head = 4 + 4 * ndim
     try:
         with open(path, "rb") as raw:
             zipped = raw.read(2) == b"\x1f\x8b"
             raw.seek(0)
             fh = gzip.GzipFile(fileobj=raw) if zipped else raw
-            found, *shape = struct.unpack(f">{1 + ndim}I", _read_exact(fh, 4 + 4 * ndim, "header"))
+            room = sys.maxsize if zipped else os.fstat(raw.fileno()).st_size
+            found, *shape = struct.unpack(f">{1 + ndim}I",
+                                          _read_exact(fh, head, "header", path, room))
             if found != magic:
                 raise ValueError(f"bad IDX {kind} magic 0x{found:08x} "
                                  f"(expected 0x{magic:08x})")
-            payload = _read_exact(fh, math.prod(shape), part)
+            payload = _read_exact(fh, math.prod(shape), part, path, room - head)
+            while zipped and fh.read(_DRAIN_CHUNK):
+                pass
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"cannot decompress {path}: {exc}") from None
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
@@ -130,19 +150,14 @@ def calibrate_sigma(sq_distances) -> float:
     return sigma2
 
 
-def _sq_distances(points, pairs, metric):
-    """Squared distances for exactly the given pairs (no all-pairs work).
-
-    The endpoints are gathered ``_PAIR_BLOCK`` pairs at a time, so the
-    temporaries take O(block * d) memory rather than O(m * d); each row's
-    reduction is the same as in one unblocked pass.
-    """
-    out = np.empty(pairs.shape[0])
-    for start in range(0, pairs.shape[0], _PAIR_BLOCK):
-        block = pairs[start:start + _PAIR_BLOCK]
+def _block_distances(points, pairs, metric, out, bounds):
+    """Write the squared distances of ``pairs[start:stop]`` into the same
+    slice of ``out``, for each block between consecutive ``bounds``."""
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = pairs[start:stop]
         a, b = points[block[:, 0]], points[block[:, 1]]
         if metric == "euclidean":
-            out[start:start + _PAIR_BLOCK] = ((a - b) ** 2).sum(axis=1)
+            out[start:stop] = ((a - b) ** 2).sum(axis=1)
         else:
             na = np.linalg.norm(a, axis=1)
             nb = np.linalg.norm(b, axis=1)
@@ -150,7 +165,38 @@ def _sq_distances(points, pairs, metric):
             ok = (na > 0) & (nb > 0)
             cos = np.zeros(block.shape[0])
             np.divide(dots, na * nb, out=cos, where=ok)
-            out[start:start + _PAIR_BLOCK] = np.where(ok, 1.0 - cos, 1.0) ** 2
+            out[start:stop] = np.where(ok, 1.0 - cos, 1.0) ** 2
+
+
+def _sq_distances(points, pairs, metric):
+    """Squared distances for exactly the given pairs (no all-pairs work).
+
+    The endpoints are gathered in blocks of about ``_BLOCK_FLOATS`` floats,
+    so the temporaries take O(block) memory rather than O(m * d).  With two
+    blocks or more, a worker thread computes the second half of the blocks
+    while the calling thread computes the first, each into its own slice of
+    the result; the worker is started and joined within the call, and its
+    exceptions are raised here.  Each row's reduction is the same as in one
+    unblocked pass, so the result is bit-identical to it and depends
+    neither on the core count nor on the threads' timing.
+    """
+    m = pairs.shape[0]
+    out = np.empty(m)
+    # Blocks hold at least two pairs, and the last block takes a lone last
+    # pair: numpy's einsum sums a single row longer than 8192 floats in
+    # another order than the rows of a larger block.
+    step = max(2, _BLOCK_FLOATS // max(1, points.shape[1]))
+    bounds = [0, *range(step, m - 1, step), m]
+    if len(bounds) < 3:
+        _block_distances(points, pairs, metric, out, bounds)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    half = len(bounds) // 2  # the first ceil(blocks / 2) blocks end at bounds[half]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(_block_distances, points, pairs, metric, out, bounds[half:])
+        _block_distances(points, pairs, metric, out, bounds[:half + 1])
+        second.result()
     return out
 
 
@@ -171,9 +217,11 @@ def subsample_and_weight(points, alpha: float, metric: str = "euclidean", rng=No
     Two-pass bandwidth calibration: the sampled pairs' squared distances
     are computed first, their mean becomes sigma2, then the same
     distances are kernelized.  The total number of distance evaluations
-    is exactly the sampled pair count (recorded on the result).
-    ``metric`` is "euclidean" or "cosine"; the cosine distance of a zero
-    vector against anything is defined as 1.
+    is exactly the sampled pair count (recorded on the result).  The
+    distances are computed in cache-sized blocks, on two threads when there
+    are two blocks or more; each is bit-identical to one unblocked pass and
+    independent of the core count.  ``metric`` is "euclidean" or "cosine";
+    the cosine distance of a zero vector against anything is defined as 1.
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")

@@ -257,8 +257,9 @@ class TestCluster:
         assert float(row["acc_all"]) > 0.9
 
     def test_idx_faults_are_one_line_errors(self, tmp_path, capsys):
-        """A truncated or corrupt gzipped file, a repeated digit and a digit
-        that no label carries each end in one error line, exit 1."""
+        """A truncated or corrupt gzipped file, a repeated digit, a digit
+        that no label carries and a short label file each end in one error
+        line, exit 1."""
         import gzip
         import struct
 
@@ -283,6 +284,17 @@ class TestCluster:
             err = capsys.readouterr().err
             assert (code, out) == (1, "")
             assert re.fullmatch(f"nblw: error: {message}.*\n", err), err
+        # a short file is named, so the error tells which of the two it is
+        (tmp_path / "img.gz").write_bytes(images)
+        (tmp_path / "lab").write_bytes(struct.pack(">II", 0x00000801, 20) + labels[:15].tobytes())
+        code, out = run_cli([
+            "cluster", "--dataset", "mnist", "--mnist-images", str(tmp_path / "img.gz"),
+            "--mnist-labels", str(tmp_path / "lab"), "--digits", "0,1", "--alpha", "4",
+        ])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert re.fullmatch("nblw: error: truncated IDX file .*lab: expected 20 bytes of labels\n",
+                            err), err
 
     @pytest.mark.parametrize("method", ["nblw", "lp"])
     def test_single_label_csv_is_one_line_error(self, tmp_path, capsys, method):

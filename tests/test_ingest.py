@@ -1,7 +1,11 @@
 """IDX parsing, CSV loading, kernels, bandwidth calibration, subsampling."""
 
 import gzip
+import math
+import re
 import struct
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -242,6 +246,18 @@ class TestSubsampleAndWeight:
         assert abs(w.sum()) < 1e-6
 
 
+def one_pass(pts, pairs, metric):
+    """The kernel's per-pair formulas over all pairs at once."""
+    a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
+    if metric == "euclidean":
+        return ((a - b) ** 2).sum(axis=1)
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    ok = (na > 0) & (nb > 0)
+    cos = np.zeros(pairs.shape[0])
+    np.divide(np.einsum("ij,ij->i", a, b), na * nb, out=cos, where=ok)
+    return np.where(ok, 1.0 - cos, 1.0) ** 2
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_blocks_match_one_pass_bit_for_bit(self, monkeypatch, metric):
@@ -250,23 +266,67 @@ class TestBlockedKernel:
         pts[3] = 0.0  # a zero vector takes the cosine fallback
         pairs = draw_er_pairs(400, 10.0, rng)
         pairs = np.concatenate([pairs, [(3, 5), (5, 3)]])
-        a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
-        if metric == "euclidean":
-            want = ((a - b) ** 2).sum(axis=1)
-        else:
-            na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
-            ok = (na > 0) & (nb > 0)
-            cos = np.zeros(pairs.shape[0])
-            np.divide(np.einsum("ij,ij->i", a, b), na * nb, out=cos, where=ok)
-            want = np.where(ok, 1.0 - cos, 1.0) ** 2
-        monkeypatch.setattr(ingest, "_PAIR_BLOCK", 97)
+        want = one_pass(pts, pairs, metric)
+        monkeypatch.setattr(ingest, "_BLOCK_FLOATS", 97 * 37)
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return block_distances(*args)
+
+        block_distances = ingest._block_distances
+        monkeypatch.setattr(ingest, "_block_distances", spy)
         assert pairs.shape[0] > 10 * 97
         assert np.array_equal(ingest._sq_distances(pts, pairs, metric), want)
+        assert len(threads) == 2  # the blocks were split across two threads
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("m, blocks", [(0, 1), (1, 1), (4, 1), (5, 1), (9, 2), (11, 3)],
+                             ids=["m0", "m1", "one-block", "lone-last-pair", "two-blocks",
+                                  "odd-blocks"])
+    def test_block_edges(self, monkeypatch, metric, m, blocks):
+        """Four pairs a block: the blocks cover every pair once, none holds
+        a single pair unless m is 1, and the result equals one pass."""
+        rng = np.random.default_rng(m)
+        pts = rng.standard_normal((6, 5))
+        pts[0] = 0.0
+        pairs = rng.integers(0, 6, size=(m, 2))
+        pairs[::3, 0] = 0  # zero vectors, against others and themselves
+        monkeypatch.setattr(ingest, "_BLOCK_FLOATS", 4 * 5)
+        seen = []
+
+        def spy(points, pairs, metric, out, bounds):
+            seen.extend(zip(bounds[:-1], bounds[1:]))
+            return block_distances(points, pairs, metric, out, bounds)
+
+        block_distances = ingest._block_distances
+        monkeypatch.setattr(ingest, "_block_distances", spy)
+        got = ingest._sq_distances(pts, pairs, metric)
+        assert got.shape == (m,) and np.array_equal(got, one_pass(pts, pairs, metric))
+        seen.sort()
+        assert len(seen) == blocks and seen[0][0] == 0 and seen[-1][1] == m
+        assert all(stop == start for (_, stop), (start, _) in zip(seen, seen[1:]))
+        assert all(2 <= stop - start <= 5 for start, stop in seen if m > 1)
+
+    @pytest.mark.parametrize("d", [12_000, 40_000])
+    def test_no_row_is_reduced_alone(self, d):
+        """numpy's einsum sums a single row of more than 8192 floats in
+        another order than the rows of a larger block, so a lone last pair,
+        or blocks of one pair when d exceeds half the budget, would change
+        cosine distances by rounding."""
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((8, d))
+        for m in range(2, 18):
+            pairs = rng.integers(0, 8, size=(m, 2))
+            assert np.array_equal(ingest._sq_distances(pts, pairs, "cosine"),
+                                  one_pass(pts, pairs, "cosine"))
 
     def test_memory_independent_of_pairs_times_dim(self, monkeypatch):
         # m * d = 5M floats: the two gathered endpoint arrays alone would
-        # take 80 MB; blocked, the kernel's temporaries take O(block * d)
-        monkeypatch.setattr(ingest, "_PAIR_BLOCK", 256)
+        # take 80 MB; blocked, the temporaries of both threads take
+        # O(budget) floats, where budget = block * d
+        budget = 256 * 250
+        monkeypatch.setattr(ingest, "_BLOCK_FLOATS", budget)
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((2000, 250))
         tracemalloc.start()
@@ -276,8 +336,57 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         m, d = res.graph.num_pairs, pts.shape[1]
-        assert m > 15_000
-        assert peak < 8 * 256 * d * 8 + 200 * m < m * d * 8 / 4
+        assert m > 15_000 and budget // d == 256
+        assert peak < 8 * budget * 8 + 200 * m < m * d * 8 / 4
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        """Four callers at once, each splitting its own blocks with its own
+        worker, with a 1 us switch interval: no call writes into another's
+        result or leaves a slice unwritten."""
+        monkeypatch.setattr(ingest, "_BLOCK_FLOATS", 8 * 16)
+        rng = np.random.default_rng(6)
+        pts = rng.standard_normal((300, 16))
+        jobs = [rng.integers(0, 300, size=(500 + 37 * i, 2)) for i in range(4)]
+        results = [[] for _ in jobs]
+
+        def call(i):
+            for _ in range(5):
+                results[i].append(ingest._sq_distances(pts, jobs[i], "euclidean"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for pairs, got in zip(jobs, results):
+            want = one_pass(pts, pairs, "euclidean")
+            assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_fault_in_last_block_is_raised_and_joins_worker(self, metric):
+        """An endpoint out of range in the worker's half raises IndexError
+        here rather than leaving garbage in the result, and the call leaves
+        no thread behind either way."""
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((50, 784))
+        pairs = rng.integers(0, 50, size=(2000, 2))
+        assert pairs.shape[0] > 4 * (ingest._BLOCK_FLOATS // 784)
+        before = threading.active_count()
+        assert np.array_equal(ingest._sq_distances(pts, pairs, metric),
+                              one_pass(pts, pairs, metric))
+        assert threading.active_count() == before
+        pairs[-1, 1] = 50
+        with pytest.raises(IndexError) as info:
+            ingest._sq_distances(pts, pairs, metric)
+        # the traceback in ``info`` keeps the call's frame alive, so a worker
+        # left unjoined would still be counted here
+        assert info.value is not None and threading.active_count() == before
 
 
 class TestLoadMnistSubset:
@@ -314,13 +423,15 @@ class TestIdxDecoder:
     def test_truncated_label_payload(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 5) + b"\x00" * 4)
-        with pytest.raises(ValueError, match="truncated IDX file: expected 5 bytes of labels"):
+        with pytest.raises(ValueError, match=f"truncated IDX file {re.escape(str(path))}: "
+                                             "expected 5 bytes of labels$"):
             read_idx_labels(path)
 
     def test_label_file_shorter_than_header(self, tmp_path):
         path = tmp_path / "stub.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 5)[:7])
-        with pytest.raises(ValueError, match="truncated IDX file: expected 8 bytes of header"):
+        with pytest.raises(ValueError, match=f"truncated IDX file {re.escape(str(path))}: "
+                                             "expected 8 bytes of header$"):
             read_idx_labels(path)
 
     def test_image_file_as_labels(self, tmp_path):
@@ -350,6 +461,41 @@ class TestIdxDecoder:
         path.write_bytes(bytes(whole))
         with pytest.raises(ValueError, match=f"cannot decompress {path}: .*invalid block type"):
             read(path)
+
+
+    @pytest.mark.parametrize("zipped, sizes", [
+        (False, (60_000, 2**16, 2**8)), (False, (2**32 - 1,) * 3), (True, (2**32 - 1,) * 3),
+    ], ids=["plain-terabytes", "plain-past-index-range", "gzip-past-index-range"])
+    def test_oversized_header_names_the_file(self, tmp_path, zipped, sizes):
+        """A plain file's sizes are checked against its length before any
+        payload is read; no file's sizes reach ``read`` past the index
+        range, where it would raise OverflowError."""
+        data = struct.pack(">IIII", 0x00000803, *sizes) + bytes(64)
+        path = tmp_path / "huge.idx"
+        path.write_bytes(gzip.compress(data) if zipped else data)
+        with pytest.raises(ValueError, match=f"truncated IDX file {re.escape(str(path))}: "
+                                             f"expected {math.prod(sizes)} bytes of pixels$"):
+            read_idx(path)
+
+    def test_gzip_trailer_is_checked(self, tmp_path):
+        """A stored (level 0) deflate block holds the payload as is, so the
+        changed byte decompresses cleanly and only the CRC32 shows it."""
+        whole = bytearray(gzip.compress(struct.pack(">II", 0x00000801, 6) + bytes([1, 2, 3, 4, 5, 6]),
+                                        compresslevel=0))
+        assert whole[-9] == 6  # the last payload byte, before CRC32 and length
+        whole[-9] = 1
+        path = tmp_path / "crc.idx.gz"
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match=f"cannot decompress {re.escape(str(path))}: "
+                                             "CRC check failed"):
+            read_idx_labels(path)
+
+    @pytest.mark.parametrize("zipped", [False, True], ids=["plain", "gzip"])
+    def test_bytes_after_the_payload_are_ignored(self, tmp_path, zipped):
+        data = struct.pack(">II", 0x00000801, 3) + bytes([4, 5, 6]) + bytes(range(256)) * 5000
+        path = tmp_path / "long.idx"
+        path.write_bytes(gzip.compress(data) if zipped else data)
+        assert np.array_equal(read_idx_labels(path), [4, 5, 6])
 
 
 class TestMnistDigits:
